@@ -14,6 +14,7 @@ from sandwichlab import (
     ModelParams,
     closed_form_law,
     exact_marginal,
+    exact_stage_laws,
     format_graph_literal,
 )
 
@@ -21,11 +22,9 @@ params = ModelParams(n=5, d=2)
 print(f"n={params.n}, d={params.d}: {params.steps_upper} deletion stages, "
       f"{params.steps_lower} addition stages\n")
 
-for direction, steps in (("delete", params.steps_upper),
-                         ("add", params.steps_lower)):
+for direction in ("delete", "add"):
     print(f"--- {direction} direction ---")
-    for stage in range(steps + 1):
-        kernel = exact_marginal(params, stage, direction)
+    for stage, kernel in enumerate(exact_stage_laws(params, direction)):
         closed = closed_form_law(params, stage, direction)
         agree = kernel.probs == closed.probs
         print(f"stage {stage}: support {len(kernel.probs):3d} graphs, "

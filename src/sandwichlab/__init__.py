@@ -54,6 +54,7 @@ from .coupling import (
     eta_schedule,
     exact_kernel_step,
     exact_marginal,
+    exact_stage_laws,
     point_mass,
     run_coupled_lower,
     run_coupled_upper,

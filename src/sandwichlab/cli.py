@@ -31,7 +31,7 @@ from .audit import (
 from .coupling import (
     ModelParams,
     closed_form_law,
-    exact_marginal,
+    exact_stage_laws,
     run_coupled_lower,
     run_coupled_upper,
     sample_f,
@@ -39,7 +39,7 @@ from .coupling import (
     verify_transcript_interleaving,
 )
 from .graphs import canonical_key, difference, parse_graph_literal
-from .oracle import count_regular_spanning_subgraphs
+from .oracle import CapacityError, count_regular_spanning_subgraphs
 from .stats import (
     chi_square_uniformity,
     containment_rate,
@@ -331,17 +331,12 @@ def _cmd_verify_marginals(config):
     opts = config.options
     params = _params_from(opts)
     verdicts = {}
-    ok = True
-    for direction, steps in (("delete", params.steps_upper),
-                             ("add", params.steps_lower)):
-        stage_ok = []
-        for stage in range(steps + 1):
-            kernel = exact_marginal(params, stage, direction)
-            closed = closed_form_law(params, stage, direction)
-            same = kernel.probs == closed.probs
-            stage_ok.append(same)
-            ok = ok and same
-        verdicts[direction] = ["exact" if s else "fail" for s in stage_ok]
+    for direction in ("delete", "add"):
+        verdicts[direction] = [
+            "exact" if kernel.probs == closed_form_law(params, stage, direction).probs
+            else "fail"
+            for stage, kernel in enumerate(exact_stage_laws(params, direction))]
+    ok = all(v == "exact" for stage_verdicts in verdicts.values() for v in stage_verdicts)
     row = {"n": params.n, "d": params.d,
            "marginal_check": "exact" if ok else "fail"}
     results = {"params": {"n": params.n, "d": params.d}, "trials": None,
@@ -351,11 +346,16 @@ def _cmd_verify_marginals(config):
     return results, ok
 
 
+# swept options that ranges and counts consume; every other swept value is a float
+_INT_OPTIONS = ("n", "d", "m", "exact_ceiling")
+
+
 def _cmd_sweep(config):
     opts = config.options
     inner_command = opts["command"]
     param = opts["param"]
-    values = [float(v) for v in opts["values"].split(",")]
+    cast = int if param in _INT_OPTIONS else float
+    values = [cast(v) for v in opts["values"].split(",")]
     rows = []
     sub_reports = []
     hard = True
@@ -548,16 +548,27 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _file_defaults(argv: list) -> dict:
+    """Remove `--config PATH` from argv and return the JSON options PATH holds."""
+    if "--config" not in argv:
+        return {}
+    where = argv.index("--config")
+    if where + 1 == len(argv):
+        raise ValueError("--config needs a file path")
+    config_path = argv[where + 1]
+    del argv[where:where + 2]
+    with open(config_path) as handle:
+        return json.load(handle)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    file_defaults = {}
-    if "--config" in argv:
-        where = argv.index("--config")
-        config_path = argv[where + 1]
-        del argv[where:where + 2]
-        with open(config_path) as handle:
-            file_defaults = json.load(handle)
+    try:
+        file_defaults = _file_defaults(argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
@@ -572,7 +583,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing required option: {exc.args[0]}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.fmt == "csv":

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .graphs import (
     SimpleGraph,
@@ -59,8 +59,10 @@ class ModelParams:
             raise ValueError("need 0 <= d <= n-1")
         if self.m is not None and self.m < 0:
             raise ValueError("m must be nonnegative")
-        if not 0.0 <= self.tau_floor <= 1.0:
-            raise ValueError("tau_floor must lie in [0,1]")
+        # the companion waits for a tape variate in [0,1) at or below its
+        # threshold, which is at least tau_floor: a zero floor can wait forever
+        if not 0.0 < self.tau_floor <= 1.0:
+            raise ValueError("tau_floor must lie in (0,1]")
 
     @property
     def npairs(self) -> int:
@@ -601,26 +603,44 @@ def exact_kernel_step(dist: DistributionTable, d: int, direction: str,
     return DistributionTable(dist.n, graphs, probs).check()
 
 
-def exact_marginal(params: ModelParams, i: int, direction: str,
-                   cache=None) -> DistributionTable:
-    """Exact stage-i law obtained by iterating the conditioned kernel."""
+def _last_stage(params: ModelParams, direction: str) -> int:
+    """Index of the final stage of the exact analysis in the given direction."""
     params.require_even()
     if params.n > params.exact_ceiling:
         raise CapacityError(f"n={params.n} exceeds exact-analysis ceiling "
                             f"{params.exact_ceiling}")
     if direction == "delete":
-        if not 0 <= i <= params.steps_upper:
-            raise ValueError("stage out of range")
-        dist = point_mass(complete_graph(params.n))
-    elif direction == "add":
-        if not 0 <= i <= params.steps_lower:
-            raise ValueError("stage out of range")
-        dist = point_mass(empty_graph(params.n))
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    for _ in range(i):
-        dist = exact_kernel_step(dist, params.d, direction, cache=cache)
-    return dist
+        return params.steps_upper
+    if direction == "add":
+        return params.steps_lower
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def exact_stage_laws(params: ModelParams, direction: str, cache=None):
+    """Iterator over the exact laws of stages 0, 1, ..., last, in order.
+
+    Each law is one conditioned kernel step from the one before it, so the
+    whole sequence costs one kernel step per stage.  Arguments are checked
+    when this is called, before any law is computed.
+    """
+    last = _last_stage(params, direction)
+    start = complete_graph(params.n) if direction == "delete" else empty_graph(params.n)
+    return _iterate_kernel(point_mass(start), params.d, direction, last, cache)
+
+
+def _iterate_kernel(dist, d, direction, steps, cache):
+    yield dist
+    for _ in range(steps):
+        dist = exact_kernel_step(dist, d, direction, cache=cache)
+        yield dist
+
+
+def exact_marginal(params: ModelParams, i: int, direction: str,
+                   cache=None) -> DistributionTable:
+    """Exact stage-i law obtained by iterating the conditioned kernel."""
+    if not 0 <= i <= _last_stage(params, direction):
+        raise ValueError("stage out of range")
+    return next(islice(exact_stage_laws(params, direction, cache=cache), i, None))
 
 
 def closed_form_law(params: ModelParams, i: int, direction: str,
@@ -631,26 +651,18 @@ def closed_form_law(params: ModelParams, i: int, direction: str,
     over all F with C(n,2)-i edges.  Add direction: P(F) =
     |{K : F in K}| / |K_d(n)| / C(dn/2, dn/2-i) over all F with i edges.
     """
-    params.require_even()
-    if params.n > params.exact_ceiling:
-        raise CapacityError(f"n={params.n} exceeds exact-analysis ceiling "
-                            f"{params.exact_ceiling}")
+    last = _last_stage(params, direction)
+    if not 0 <= i <= last:
+        raise ValueError("stage out of range")
     n, d = params.n, params.d
     k_total = count_regular_spanning_subgraphs(complete_graph(n), d, cache=cache)
+    denominator = k_total * math.comb(last, last - i)
     if direction == "delete":
-        if not 0 <= i <= params.steps_upper:
-            raise ValueError("stage out of range")
         edge_count = params.npairs - i
-        denominator = k_total * math.comb(params.steps_upper, params.steps_upper - i)
         weight = lambda g: count_regular_spanning_subgraphs(g, d, cache=cache)
-    elif direction == "add":
-        if not 0 <= i <= params.steps_lower:
-            raise ValueError("stage out of range")
-        edge_count = i
-        denominator = k_total * math.comb(params.steps_lower, params.steps_lower - i)
-        weight = lambda g: count_extensions(g, d, cache=cache)
     else:
-        raise ValueError(f"unknown direction {direction!r}")
+        edge_count = i
+        weight = lambda g: count_extensions(g, d, cache=cache)
     graphs = {}
     probs = {}
     for edges in combinations(pair_list(n), edge_count):

@@ -5,7 +5,12 @@ backtracking search: processing vertices in increasing order, each vertex's
 remaining incident edges are assigned as a subset of its still-available
 higher-indexed host neighbors, cutting branches whose residual degree exceeds
 the remaining candidates.  Counting memoizes on (vertex, residual-degree
-suffix); enumeration walks the same tree without memoization.
+suffix), which turns the search tree into a DAG of states; enumeration walks
+the same tree without memoization.  Per-edge profiles never list the
+subgraphs: a backward pass over the counting DAG counts the completions
+below each state, a forward pass in topological order counts the paths into
+each state, and the subgraphs that choose an edge at a state number the
+state's paths times the completions below that choice.
 """
 
 from __future__ import annotations
@@ -99,7 +104,88 @@ def _count_target(adj, n: int, target) -> int:
         memo[key] = total
         return total
 
-    return rec(1, tuple(target[1:]))
+    total = rec(1, tuple(target[1:]))
+    del rec  # rec's closure refers to itself; break the cycle so memo is freed now
+    return total
+
+
+def _profile(adj, n: int, target):
+    """(total, per-edge counts) over the spanning subgraphs matching the degrees.
+
+    A state is the residual-degree suffix res of vertices v..n, with
+    res[0] > 0 and v = n + 1 - len(res).  Backward pass: the memoized search
+    counts the completions below every state and keeps, for each state with a
+    non-zero count, its non-leaf children with a non-zero count and, for each
+    edge (v, w), the completions summed over the choices containing it.
+    Forward pass: in reverse post-order (parents before children) each state
+    pushes its path count to its children and adds paths x that sum to each
+    of its edges.  Edges carried by no subgraph are absent.
+    """
+    if any(t < 0 for t in target[1:]) or sum(target[1:]) % 2:
+        return 0, {}
+    memo = {}
+    node = {}
+    order = []
+
+    def rec(res: tuple) -> int:
+        # callers strip the leading zeros and look up memo first
+        v = n + 1 - len(res)
+        need = res[0]
+        row = adj[v] >> v
+        cands = [j for j in range(1, len(res)) if res[j] and (row >> j) & 1]
+        total = 0
+        nexts = []
+        acc = {}
+        if len(cands) >= need:
+            tail = list(res[1:])
+            size = len(tail)
+            for combo in combinations(cands, need):
+                new = tail[:]
+                for j in combo:
+                    new[j - 1] -= 1
+                k = 0
+                while k < size and not new[k]:
+                    k += 1
+                if k == size:
+                    c = 1
+                else:
+                    child = tuple(new[k:])
+                    c = memo.get(child)
+                    if c is None:
+                        c = rec(child)
+                    if not c:
+                        continue
+                    nexts.append(child)
+                total += c
+                for j in combo:
+                    acc[j] = acc.get(j, 0) + c
+        memo[res] = total
+        if total:
+            node[res] = (nexts, [((v, v + j), t) for j, t in acc.items()])
+            order.append(res)
+        return total
+
+    res = tuple(target[1:])
+    k = 0
+    while k < n and not res[k]:
+        k += 1
+    if k == n:
+        return 1, {}
+    root = res[k:]
+    total = rec(root)
+    del rec  # as in _count_target: free the memo without waiting for the GC
+    if not total:
+        return 0, {}
+    tally = {}
+    paths = {root: 1}
+    for state in reversed(order):
+        p = paths.pop(state)
+        nexts, through = node[state]
+        for child in nexts:
+            paths[child] = paths.get(child, 0) + p
+        for e, t in through:
+            tally[e] = tally.get(e, 0) + p * t
+    return total, tally
 
 
 def _iter_target(adj, n: int, target):
@@ -228,14 +314,15 @@ def enumerate_extensions(f: SimpleGraph, d: int):
     yield from found
 
 
-# -- one-pass edge profiles (used by the coupling processes) --------------------
+# -- edge profiles (used by the coupling processes) ---------------------------
 
 def spanning_profile(host: SimpleGraph, d: int, cache: OracleCache = None):
     """(total, per-edge counts) for the d-regular spanning subgraphs of host.
 
     per-edge counts maps each host edge e to |{K : e in E(K)}|; edges carried
-    by no subgraph are absent.  One enumeration pass serves every edge, which
-    is what the deletion process needs at each stage.
+    by no subgraph are absent.  One backward and one forward pass over the
+    counting DAG serve every edge, which is what the deletion process needs at
+    each stage.
     """
     _check_capacity(host.n)
     cache = DEFAULT_CACHE if cache is None else cache
@@ -243,13 +330,7 @@ def spanning_profile(host: SimpleGraph, d: int, cache: OracleCache = None):
     hit = cache.get(key)
     if hit is not None:
         return hit
-    total = 0
-    tally = {}
-    for edges in _iter_target(host.adj, host.n, [0] + [d] * host.n):
-        total += 1
-        for e in edges:
-            tally[e] = tally.get(e, 0) + 1
-    result = (total, tally)
+    result = _profile(host.adj, host.n, [0] + [d] * host.n)
     cache.put(key, result)
     return result
 
@@ -257,7 +338,8 @@ def spanning_profile(host: SimpleGraph, d: int, cache: OracleCache = None):
 def extension_profile(f: SimpleGraph, d: int, cache: OracleCache = None):
     """(total, per-missing-edge counts) for the d-regular graphs containing f.
 
-    per-missing-edge counts maps each non-edge e of f to |{K : f + e in K}|.
+    per-missing-edge counts maps each non-edge e of f to |{K : f + e in K}|;
+    non-edges carried by no such graph are absent.
     """
     _check_capacity(f.n)
     cache = DEFAULT_CACHE if cache is None else cache
@@ -266,12 +348,6 @@ def extension_profile(f: SimpleGraph, d: int, cache: OracleCache = None):
     if hit is not None:
         return hit
     target = [0] + [d - f.degree(v) for v in f.vertices()]
-    total = 0
-    tally = {}
-    for extra in _iter_target(complement(f).adj, f.n, target):
-        total += 1
-        for e in extra:
-            tally[e] = tally.get(e, 0) + 1
-    result = (total, tally)
+    result = _profile(complement(f).adj, f.n, target)
     cache.put(key, result)
     return result

@@ -119,6 +119,16 @@ def test_sweep_emits_rows(capsys):
     assert "eps" in lines[0] and "rate" in lines[0]
 
 
+def test_sweep_over_vertex_count(capsys):
+    code, out = _run(["sweep", "--command", "couple-upper", "--param", "n",
+                      "--values", "4,6", "--d", "3", "--trials", "2",
+                      "--format", "csv"], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    n_col = lines[0].split(",").index("n")
+    assert [line.split(",")[n_col] for line in lines[1:]] == ["4", "6"]
+
+
 def test_emit_plot_data_empty_report():
     report = {"results": {"rows": [], "columns": ["a", "b"]}}
     assert emit_plot_data(report) == "a,b\n"
@@ -143,3 +153,13 @@ def test_out_file(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["count", "--host", "garbage", "--d", "2"]) == 2
+
+
+def test_capacity_error_exit_code(capsys):
+    assert main(["verify-marginals", "--n", "8", "--d", "3"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_flag_without_path_exit_code(capsys):
+    assert main(["count", "--config"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from sandwichlab.coupling import (
     eta_schedule,
     exact_kernel_step,
     exact_marginal,
+    exact_stage_laws,
     point_mass,
     run_coupled_lower,
     run_coupled_upper,
@@ -178,6 +179,16 @@ def test_marginal_boundary_stages():
     assert start.probs == {canonical_key(complete_graph(5)): Fraction(1)}
     start_add = exact_marginal(params, 0, "add")
     assert start_add.probs == {canonical_key(empty_graph(5)): Fraction(1)}
+    assert len(list(exact_stage_laws(params, "add"))) == params.steps_lower + 1
+    for stage in (-1, params.steps_upper + 1):
+        with pytest.raises(ValueError):
+            exact_marginal(params, stage, "delete")
+
+
+def test_zero_tau_floor_rejected():
+    with pytest.raises(ValueError):
+        ModelParams(n=6, d=3, tau_floor=0.0)
+    assert ModelParams(n=6, d=3, tau_floor=1.0).tau_floor == 1.0
 
 
 def test_exact_analysis_capacity():

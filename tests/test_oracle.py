@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sandwichlab.graphs import (
     SimpleGraph,
@@ -9,6 +11,7 @@ from sandwichlab.graphs import (
     cycle_graph,
     empty_graph,
     gnp_graph,
+    graph_from_mask,
 )
 from sandwichlab.oracle import (
     CapacityError,
@@ -150,6 +153,38 @@ def test_profiles_match_pointwise_counts():
     assert ext_total == count_extensions(f, d)
     for e in complement(f).edges():
         assert ext_tally.get(e, 0) == count_extensions_with_edge(f, d, e)
+
+
+@st.composite
+def _host_and_degree(draw):
+    n = draw(st.integers(1, 8))
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    return graph_from_mask(n, mask), draw(st.integers(0, n - 1))
+
+
+def _enumerated_tally(graphs, skip=frozenset()):
+    total, tally = 0, {}
+    for k in graphs:
+        total += 1
+        for e in k.edges():
+            if e not in skip:
+                tally[e] = tally.get(e, 0) + 1
+    return total, tally
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(host_d=_host_and_degree())
+@example(host_d=(complete_graph(5), 0))
+@example(host_d=(empty_graph(6), 0))
+@example(host_d=(complete_graph(8), 3))
+@example(host_d=(SimpleGraph(6, [(1, 2), (2, 3), (1, 3), (4, 5)]), 2))  # no completion
+@example(host_d=(complete_graph(7), 3))  # odd dn
+def test_profiles_equal_enumeration_tallies(host_d):
+    host, d = host_d
+    assert spanning_profile(host, d, cache=OracleCache()) == \
+        _enumerated_tally(enumerate_regular(host, d))
+    assert extension_profile(host, d, cache=OracleCache()) == \
+        _enumerated_tally(enumerate_extensions(host, d), skip=set(host.edges()))
 
 
 def test_cache_hits_and_bound():
