@@ -170,6 +170,33 @@ def _expansion_statistic(g: SimpleGraph, u) -> int:
     return len(multi_covered_edges(g, u)) + edges_inside(g, u)
 
 
+def _check_expansion(property_id, f, k, counts_k, ratio, ratio_name, factor,
+                     size_cap, params, witness_cap, pool_cap, samples, rng):
+    """Shared body of the two expansion checks.
+
+    Witnessed sets grow along one of F\\K and K, with |U| >= ratio*|U'|/4, and
+    the statistic counts the other: K when counts_k, else F\\K.  The margin is
+    factor*|U| minus that statistic.
+    """
+    _require_subgraph(k, f)
+    if size_cap < 1:
+        return _vacuous(property_id, params,
+                        f"size cap {size_cap:.3g} < 1 admits no set at n={f.n}")
+    fk = difference(f, k)
+    carrier, counted = (fk, k) if counts_k else (k, fk)
+    worst, witness, seen = INF, None, 0
+    for uprime, u in _witnessed_sets(carrier.adj, f.n, witness_cap, ratio / 4,
+                                     size_cap, pool_cap, samples, rng):
+        seen += 1
+        margin = factor * len(u) - _expansion_statistic(counted, u)
+        if margin < worst:
+            worst, witness = margin, (uprime, u)
+    if not seen:
+        return _vacuous(property_id, params,
+                        f"no witnessed set meets |U| >= {ratio_name}*|U'|/4 = {ratio/4:.3g}")
+    return PropertyReport(property_id, params, seen, worst >= 0, worst, witness)
+
+
 def check_expansion_k(f: SimpleGraph, k: SimpleGraph, lam: float, d: int,
                       delta: float, log_divisor: bool, witness_cap: int = 3,
                       pool_cap: int = 14, size_cap: float = None,
@@ -180,7 +207,6 @@ def check_expansion_k(f: SimpleGraph, k: SimpleGraph, lam: float, d: int,
     checked against (lam/log n)*d*|U| (log_divisor) or lam*d*|U|, with the
     matching size regime cap; explicit caps may override the literal ones.
     """
-    _require_subgraph(k, f)
     n = f.n
     logn = math.log(n)
     if size_cap is None:
@@ -188,21 +214,8 @@ def check_expansion_k(f: SimpleGraph, k: SimpleGraph, lam: float, d: int,
     factor = (lam / logn) * d if log_divisor else lam * d
     params = {"lam": lam, "d": d, "delta": delta, "log_divisor": log_divisor,
               "size_cap": size_cap}
-    if size_cap < 1:
-        return _vacuous("expansion-k", params,
-                        f"size cap {size_cap:.3g} < 1 admits no set at n={n}")
-    fk = difference(f, k)
-    worst, witness, seen = INF, None, 0
-    for uprime, u in _witnessed_sets(fk.adj, n, witness_cap, delta / 4,
-                                     size_cap, pool_cap, samples, rng):
-        seen += 1
-        margin = factor * len(u) - _expansion_statistic(k, u)
-        if margin < worst:
-            worst, witness = margin, (uprime, u)
-    if not seen:
-        return _vacuous("expansion-k", params,
-                        f"no witnessed set meets |U| >= delta*|U'|/4 = {delta/4:.3g}")
-    return PropertyReport("expansion-k", params, seen, worst >= 0, worst, witness)
+    return _check_expansion("expansion-k", f, k, True, delta, "delta", factor,
+                            size_cap, params, witness_cap, pool_cap, samples, rng)
 
 
 def check_expansion_fk(f: SimpleGraph, k: SimpleGraph, lam: float, delta: float,
@@ -210,28 +223,14 @@ def check_expansion_fk(f: SimpleGraph, k: SimpleGraph, lam: float, delta: float,
                        size_cap: float = None, samples: int = 50,
                        rng=None) -> PropertyReport:
     """Mirror of check_expansion_k with the roles of K and F\\K swapped."""
-    _require_subgraph(k, f)
     n = f.n
     logn = math.log(n)
     if size_cap is None:
         size_cap = lam * n / (100 * delta * logn)
     factor = (lam / logn) * delta
     params = {"lam": lam, "delta": delta, "d": d, "size_cap": size_cap}
-    if size_cap < 1:
-        return _vacuous("expansion-fk", params,
-                        f"size cap {size_cap:.3g} < 1 admits no set at n={n}")
-    fk = difference(f, k)
-    worst, witness, seen = INF, None, 0
-    for uprime, u in _witnessed_sets(k.adj, n, witness_cap, d / 4,
-                                     size_cap, pool_cap, samples, rng):
-        seen += 1
-        margin = factor * len(u) - _expansion_statistic(fk, u)
-        if margin < worst:
-            worst, witness = margin, (uprime, u)
-    if not seen:
-        return _vacuous("expansion-fk", params,
-                        f"no witnessed set meets |U| >= d*|U'|/4 = {d/4:.3g}")
-    return PropertyReport("expansion-fk", params, seen, worst >= 0, worst, witness)
+    return _check_expansion("expansion-fk", f, k, False, d, "d", factor,
+                            size_cap, params, witness_cap, pool_cap, samples, rng)
 
 
 # -- local density and connection ---------------------------------------------------

@@ -299,11 +299,7 @@ def _cmd_couple(config, upper: bool):
     rate = containment_rate(contained)
     p_edge = params.p_upper if upper else params.p_lower
     law = _binomial_law(params.npairs, p_edge)
-    try:
-        fit = chi_square_uniformity(edge_counts, law)
-        chi = fit.as_dict()
-    except Exception as exc:  # degenerate laws at tiny trial counts
-        chi = {"error": str(exc)}
+    chi = chi_square_uniformity(edge_counts, law).as_dict()
     hist = {}
     for c in edge_counts:
         hist[c] = hist.get(c, 0) + 1
@@ -430,7 +426,9 @@ def _csv_cell(value):
 
 # -- argument parsing ---------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
+    """The CLI parser; file_values (a --config file's options) replace the
+    parser defaults of every subcommand, so explicit flags still win."""
     parser = argparse.ArgumentParser(
         prog="sandwichlab",
         description="Desk-scale laboratory for sandwich couplings of random "
@@ -522,6 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--command", dest="inner_command")
     p.add_argument("--param")
     p.add_argument("--values")
+    if file_values:
+        values = dict(file_values)
+        if "command" in values:  # the subcommand's own dest is "command"
+            values["inner_command"] = values.pop("command")
+        for p in sub.choices.values():
+            p.set_defaults(**values)
     return parser
 
 
@@ -529,23 +533,13 @@ _NON_OPTION_KEYS = {"command", "config", "seed", "trials", "jobs", "out", "fmt"}
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    raw = vars(args).copy()
-    if raw.get("inner_command"):
-        raw["command_inner"] = raw["inner_command"]
-    options = {k: v for k, v in raw.items()
+    options = {k: v for k, v in vars(args).items()
                if k not in _NON_OPTION_KEYS and v is not None}
     if "inner_command" in options:
         options["command"] = options.pop("inner_command")
-        options.pop("command_inner", None)
-    return ExperimentConfig(
-        command=args.command,
-        options=options,
-        seed=args.seed if hasattr(args, "seed") else 0,
-        trials=args.trials if hasattr(args, "trials") else 100,
-        jobs=args.jobs if hasattr(args, "jobs") else 1,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "json"),
-    )
+    return ExperimentConfig(command=args.command, options=options, seed=args.seed,
+                            trials=args.trials, jobs=args.jobs, out=args.out,
+                            fmt=args.fmt)
 
 
 def _file_defaults(argv: list) -> dict:
@@ -563,22 +557,14 @@ def _file_defaults(argv: list) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         file_defaults = _file_defaults(argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
+    args = build_parser(file_defaults).parse_args(argv)
     try:
         config = config_from_args(args)
-        _global_defaults = {"seed": 0, "trials": 100, "jobs": 1, "out": None}
-        for key, value in file_defaults.items():
-            if key in _global_defaults:
-                if getattr(config, key) == _global_defaults[key]:
-                    setattr(config, key, value)
-            elif key != "fmt" and config.options.get(key) is None:
-                config.options[key] = value
         report = run_experiment(config)
     except KeyError as exc:
         print(f"error: missing required option: {exc.args[0]}", file=sys.stderr)

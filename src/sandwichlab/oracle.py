@@ -1,16 +1,17 @@
 """Exact counting and enumeration of d-regular graphs inside or around a host.
 
-Everything here is exact integer arithmetic.  The engine is a vertex-by-vertex
-backtracking search: processing vertices in increasing order, each vertex's
-remaining incident edges are assigned as a subset of its still-available
-higher-indexed host neighbors, cutting branches whose residual degree exceeds
-the remaining candidates.  Counting memoizes on (vertex, residual-degree
-suffix), which turns the search tree into a DAG of states; enumeration walks
-the same tree without memoization.  Per-edge profiles never list the
-subgraphs: a backward pass over the counting DAG counts the completions
-below each state, a forward pass in topological order counts the paths into
-each state, and the subgraphs that choose an edge at a state number the
-state's paths times the completions below that choice.
+Everything here is exact integer arithmetic.  One engine serves every
+operation: a vertex-by-vertex backtracking search that, processing vertices
+in increasing order, assigns each vertex's remaining incident edges as a
+subset of its still-available higher-indexed host neighbors, cutting
+branches whose residual degree exceeds the remaining candidates.  It
+memoizes on the residual-degree suffix, which turns the search tree into a
+DAG of states, and keeps every state and choice with a non-zero count.
+Counts read the DAG's total.  Per-edge profiles never list the subgraphs: a
+forward pass in topological order counts the paths into each state, and the
+subgraphs that choose an edge at a state number the state's paths times the
+completions below that choice.  Enumeration walks the DAG from its root, so
+it never enters a branch that completes no subgraph.
 """
 
 from __future__ import annotations
@@ -69,60 +70,21 @@ def _check_capacity(n: int):
         raise CapacityError(f"n={n} exceeds exact-oracle ceiling {ORACLE_CEILING}")
 
 
-def _count_target(adj, n: int, target) -> int:
-    """Number of spanning subgraphs of the host with the given degree vector.
+def _search(adj, n: int, target):
+    """(total, root, node, order) of the memoized search for the degree vector.
 
-    adj is 1-based bitmask rows, target is 1-based residual degrees.
-    """
-    if any(t < 0 for t in target[1:]):
-        return 0
-    if sum(target[1:]) % 2:
-        return 0
-    memo = {}
-
-    def rec(v: int, res: tuple) -> int:
-        while res and res[0] == 0:
-            v += 1
-            res = res[1:]
-        if not res:
-            return 1
-        key = (v, res)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        need = res[0]
-        row = adj[v]
-        cands = [j for j in range(1, len(res)) if res[j] and (row >> (v + j)) & 1]
-        total = 0
-        if len(cands) >= need:
-            res_list = list(res)
-            for combo in combinations(cands, need):
-                new = res_list[:]
-                for j in combo:
-                    new[j] -= 1
-                total += rec(v + 1, tuple(new[1:]))
-        memo[key] = total
-        return total
-
-    total = rec(1, tuple(target[1:]))
-    del rec  # rec's closure refers to itself; break the cycle so memo is freed now
-    return total
-
-
-def _profile(adj, n: int, target):
-    """(total, per-edge counts) over the spanning subgraphs matching the degrees.
-
-    A state is the residual-degree suffix res of vertices v..n, with
-    res[0] > 0 and v = n + 1 - len(res).  Backward pass: the memoized search
-    counts the completions below every state and keeps, for each state with a
-    non-zero count, its non-leaf children with a non-zero count and, for each
-    edge (v, w), the completions summed over the choices containing it.
-    Forward pass: in reverse post-order (parents before children) each state
-    pushes its path count to its children and adds paths x that sum to each
-    of its edges.  Edges carried by no subgraph are absent.
+    adj is 1-based bitmask rows, target is 1-based residual degrees.  A state
+    is the residual-degree suffix res of vertices v..n, with res[0] > 0 and
+    v = n + 1 - len(res); a choice gives v its res[0] edges to later
+    neighbors (combo holds the offsets j of the edges (v, v + j)).  node maps
+    each state with a non-zero count to its non-zero choices as
+    (combo, child, count), where child is None when the choice completes the
+    subgraph.  order lists those states in post-order (children first).  root
+    is None when no state is needed: the target is all zeros (total 1, the
+    empty subgraph) or infeasible (total 0).
     """
     if any(t < 0 for t in target[1:]) or sum(target[1:]) % 2:
-        return 0, {}
+        return 0, None, {}, []
     memo = {}
     node = {}
     order = []
@@ -134,8 +96,7 @@ def _profile(adj, n: int, target):
         row = adj[v] >> v
         cands = [j for j in range(1, len(res)) if res[j] and (row >> j) & 1]
         total = 0
-        nexts = []
-        acc = {}
+        choices = []
         if len(cands) >= need:
             tail = list(res[1:])
             size = len(tail)
@@ -147,7 +108,7 @@ def _profile(adj, n: int, target):
                 while k < size and not new[k]:
                     k += 1
                 if k == size:
-                    c = 1
+                    child, c = None, 1
                 else:
                     child = tuple(new[k:])
                     c = memo.get(child)
@@ -155,13 +116,11 @@ def _profile(adj, n: int, target):
                         c = rec(child)
                     if not c:
                         continue
-                    nexts.append(child)
                 total += c
-                for j in combo:
-                    acc[j] = acc.get(j, 0) + c
+                choices.append((combo, child, c))
         memo[res] = total
         if total:
-            node[res] = (nexts, [((v, v + j), t) for j, t in acc.items()])
+            node[res] = choices
             order.append(res)
         return total
 
@@ -170,56 +129,55 @@ def _profile(adj, n: int, target):
     while k < n and not res[k]:
         k += 1
     if k == n:
-        return 1, {}
+        return 1, None, {}, []
     root = res[k:]
     total = rec(root)
-    del rec  # as in _count_target: free the memo without waiting for the GC
-    if not total:
-        return 0, {}
+    del rec  # rec's closure refers to itself; break the cycle so memo is freed now
+    return total, root, node, order
+
+
+def _profile(adj, n: int, target):
+    """(total, per-edge counts) over the spanning subgraphs matching the degrees.
+
+    Forward pass over the search DAG: in reverse post-order (parents before
+    children) each state pushes its path count to its children and adds
+    paths x count to each edge of each choice.  Edges carried by no subgraph
+    are absent.
+    """
+    total, root, node, order = _search(adj, n, target)
     tally = {}
     paths = {root: 1}
     for state in reversed(order):
         p = paths.pop(state)
-        nexts, through = node[state]
-        for child in nexts:
-            paths[child] = paths.get(child, 0) + p
-        for e, t in through:
-            tally[e] = tally.get(e, 0) + p * t
+        v = n + 1 - len(state)
+        for combo, child, c in node[state]:
+            if child is not None:
+                paths[child] = paths.get(child, 0) + p
+            pc = p * c
+            for j in combo:
+                e = (v, v + j)
+                tally[e] = tally.get(e, 0) + pc
     return total, tally
 
 
-def _iter_target(adj, n: int, target):
-    """Yield the edge tuple of every spanning subgraph matching the degrees."""
-    if any(t < 0 for t in target[1:]):
-        return
-    if sum(target[1:]) % 2:
-        return
-    tgt = list(target)
-    acc = []
+def _subgraphs(adj, n: int, target):
+    """Yield the edge list of every spanning subgraph matching the degrees.
 
-    def rec(v: int):
-        while v <= n and tgt[v] == 0:
-            v += 1
-        if v > n:
-            yield tuple(acc)
-            return
-        need = tgt[v]
-        row = adj[v]
-        cands = [w for w in range(v + 1, n + 1) if tgt[w] and (row >> w) & 1]
-        if len(cands) < need:
-            return
-        tgt[v] = 0
-        for combo in combinations(cands, need):
-            for w in combo:
-                tgt[w] -= 1
-                acc.append((v, w))
-            yield from rec(v + 1)
-            for w in combo:
-                tgt[w] += 1
-            del acc[-need:]
-        tgt[v] = need
+    Walks the search DAG from the root, so every branch entered ends in a
+    subgraph.
+    """
+    total, root, node, _ = _search(adj, n, target)
 
-    yield from rec(1)
+    def walk(state, edges):
+        if state is None:
+            yield edges
+            return
+        v = n + 1 - len(state)
+        for combo, child, _ in node[state]:
+            yield from walk(child, edges + [(v, v + j) for j in combo])
+
+    if total:
+        yield from walk(root, [])
 
 
 # -- counting operations -------------------------------------------------------
@@ -237,7 +195,7 @@ def count_regular_spanning_subgraphs(host: SimpleGraph, d: int, cache: OracleCac
     hit = cache.get(key)
     if hit is not None:
         return hit
-    value = _count_target(host.adj, host.n, [0] + [d] * host.n)
+    value = _search(host.adj, host.n, [0] + [d] * host.n)[0]
     cache.put(key, value)
     return value
 
@@ -257,7 +215,7 @@ def count_with_edge(host: SimpleGraph, d: int, e, cache: OracleCache = None) -> 
     target[u] -= 1
     target[v] -= 1
     reduced = host.without_edge(u, v)
-    value = _count_target(reduced.adj, host.n, target)
+    value = _search(reduced.adj, host.n, target)[0]
     cache.put(key, value)
     return value
 
@@ -275,7 +233,7 @@ def count_extensions(f: SimpleGraph, d: int, cache: OracleCache = None) -> int:
     if hit is not None:
         return hit
     target = [0] + [d - f.degree(v) for v in f.vertices()]
-    value = _count_target(complement(f).adj, f.n, target)
+    value = _search(complement(f).adj, f.n, target)[0]
     cache.put(key, value)
     return value
 
@@ -295,7 +253,7 @@ def enumerate_regular(host: SimpleGraph, d: int):
     _check_capacity(host.n)
     found = [
         SimpleGraph(host.n, edges)
-        for edges in _iter_target(host.adj, host.n, [0] + [d] * host.n)
+        for edges in _subgraphs(host.adj, host.n, [0] + [d] * host.n)
     ]
     found.sort(key=canonical_key)
     yield from found
@@ -307,8 +265,8 @@ def enumerate_extensions(f: SimpleGraph, d: int):
     target = [0] + [d - f.degree(v) for v in f.vertices()]
     base = f.edges()
     found = [
-        SimpleGraph(f.n, base + list(extra))
-        for extra in _iter_target(complement(f).adj, f.n, target)
+        SimpleGraph(f.n, base + extra)
+        for extra in _subgraphs(complement(f).adj, f.n, target)
     ]
     found.sort(key=canonical_key)
     yield from found

@@ -186,6 +186,34 @@ def _path_edges(path):
     return [canonical_pair(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
+def _two_path_switches(k: SimpleGraph, odd_rows, even_rows, e, f_edge,
+                       length: int) -> list:
+    """K' = K - e + f_edge switched along two vertex-disjoint alternating paths.
+
+    Each path has `length` edges alternating odd_rows (added to K) and
+    even_rows (removed from K), one from each endpoint of e to an endpoint of
+    f_edge; both endpoint pairings are admitted.
+    """
+    u1, u2 = e
+    v1, v2 = f_edge
+    out = []
+    for w1, w2 in ((v1, v2), (v2, v1)):
+        avoid1 = (1 << u2) | (1 << w2)
+        for p1 in _alt_paths(odd_rows, even_rows, u1, length, w1, avoid1):
+            block = 0
+            for t in p1:
+                block |= 1 << t
+            if (block >> u2) & 1 or (block >> w2) & 1:
+                continue
+            for p2 in _alt_paths(odd_rows, even_rows, u2, length, w2, block):
+                edges1 = _path_edges(p1)
+                edges2 = _path_edges(p2)
+                added = edges1[0::2] + edges2[0::2] + [f_edge]
+                removed = edges1[1::2] + edges2[1::2] + [e]
+                out.append(_apply_switch(k, removed, added))
+    return out
+
+
 def switch_neighbors_le(f: SimpleGraph, d: int, k: SimpleGraph, e, ell: int) -> list:
     """All K' in K_d(F) without e whose symmetric difference with K is one
     (2*ell+2)-cycle (necessarily through e).
@@ -255,23 +283,7 @@ def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
     if ell < 1:
         raise ValueError("ell must be positive")
     fk = difference(f, k)
-    length = 2 * ell + 2
-    out = []
-    for w1, w2 in ((v1, v2), (v2, v1)):
-        avoid1 = (1 << u2) | (1 << w2)
-        for p1 in _alt_paths(fk.adj, k.adj, u1, length, w1, avoid1):
-            block = 0
-            for t in p1:
-                block |= 1 << t
-            if (block >> u2) & 1 or (block >> w2) & 1:
-                continue
-            for p2 in _alt_paths(fk.adj, k.adj, u2, length, w2, block):
-                edges1 = _path_edges(p1)
-                edges2 = _path_edges(p2)
-                added = edges1[0::2] + edges2[0::2] + [(v1, v2)]
-                removed = edges1[1::2] + edges2[1::2] + [(u1, u2)]
-                out.append(_apply_switch(k, removed, added))
-    return out
+    return _two_path_switches(k, fk.adj, k.adj, (u1, u2), (v1, v2), 2 * ell + 2)
 
 
 # -- six-cycle switchings ---------------------------------------------------------
@@ -393,24 +405,8 @@ def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> lis
         raise ValueError("f must be absent from K")
     if len({x1, x2, y1, y2}) != 4:
         raise ValueError("e and f must share no vertices")
-    non_k = complement(k)
-    spare = difference(k, f)
-    out = []
-    for w1, w2 in ((y1, y2), (y2, y1)):
-        avoid1 = (1 << x2) | (1 << w2)
-        for p1 in _alt_paths(non_k.adj, spare.adj, x1, 4, w1, avoid1):
-            block = 0
-            for t in p1:
-                block |= 1 << t
-            if (block >> x2) & 1 or (block >> w2) & 1:
-                continue
-            for p2 in _alt_paths(non_k.adj, spare.adj, x2, 4, w2, block):
-                edges1 = _path_edges(p1)
-                edges2 = _path_edges(p2)
-                added = edges1[0::2] + edges2[0::2] + [(y1, y2)]
-                removed = edges1[1::2] + edges2[1::2] + [(x1, x2)]
-                out.append(_apply_switch(k, removed, added))
-    return out
+    return _two_path_switches(k, complement(k).adj, difference(k, f).adj,
+                              (x1, x2), (y1, y2), 4)
 
 
 def ten_cycle_degree(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> int:

@@ -1,8 +1,9 @@
 """Independent oracles used only by the tests.
 
-These deliberately avoid the library's algorithms: regular counts come from
-filtering raw edge-subset combinations, and path counts from a layered
-meet-in-the-middle join instead of depth-first search.
+These deliberately avoid the library's algorithms: regular counts and
+subgraphs with a given degree vector come from filtering raw edge-subset
+combinations, and path counts from a layered meet-in-the-middle join
+instead of depth-first search.
 """
 
 from itertools import combinations
@@ -26,6 +27,22 @@ def brute_force_regular_count(n, d, host=None):
         if all(deg[v] == d for v in range(1, n + 1)):
             count += 1
     return count
+
+
+def brute_force_subgraphs(n, pairs, target):
+    """Every subset of pairs whose degree vector is target (1-based), by filtering."""
+    size, odd = divmod(sum(target[1:]), 2)
+    if odd or size < 0:
+        return []
+    found = []
+    for chosen in combinations(pairs, size):
+        deg = [0] * (n + 1)
+        for u, v in chosen:
+            deg[u] += 1
+            deg[v] += 1
+        if deg[1:] == list(target[1:]):
+            found.append(chosen)
+    return found
 
 
 def _half_paths(rows_seq, start, avoid):

@@ -67,6 +67,11 @@ def test_couple_lower_runs():
     report = run_experiment(config)
     assert report["hard_pass"] is True
     assert report["results"]["trials"] == 10
+    # p_upper clamps to 1 here, so the edge-count law is a point mass
+    for command in ("couple-upper", "couple-lower"):
+        report = run_experiment(ExperimentConfig(command, {"n": 4, "d": 3}, trials=1))
+        assert report["hard_pass"] is True
+        assert "p_value" in report["results"]["chi_square"]
 
 
 def test_switchings_subcommand(capsys):
@@ -140,6 +145,29 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out = _run(["--config", str(cfg), "count"], capsys)
     assert code == 0
     assert out.strip() == "12"
+
+
+def test_explicit_flags_beat_config_file(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"host": K5, "d": 2, "seed": 5, "trials": 7}))
+    code, out = _run(["--config", str(cfg), "count", "--seed", "0",
+                      "--trials", "100", "--format", "json"], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["seed"], config["trials"]) == (0, 100)
+    code, out = _run(["--config", str(cfg), "count", "--format", "json"], capsys)
+    report = json.loads(out)
+    assert (report["config"]["seed"], report["config"]["trials"]) == (5, 7)
+    assert report["results"]["count"] == "12"
+    code, out = _run(["--config", str(cfg), "count", "--d", "4"], capsys)
+    assert out.strip() == "1"
+    cfg.write_text(json.dumps({"command": "couple-lower", "param": "eps",
+                               "values": "0.5", "n": 4, "d": 3, "trials": 1}))
+    code, out = _run(["--config", str(cfg), "sweep", "--format", "json"], capsys)
+    report = json.loads(out)
+    assert report["config"]["command"] == "sweep"
+    assert report["config"]["options"]["command"] == "couple-lower"
+    assert report["results"]["sweep"][0]["results"]["trials"] == 1
 
 
 def test_out_file(tmp_path):

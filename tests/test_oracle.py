@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sandwichlab.graphs import (
     SimpleGraph,
+    canonical_key,
     complement,
     complete_graph,
     cycle_graph,
@@ -26,7 +27,7 @@ from sandwichlab.oracle import (
     spanning_profile,
 )
 
-from _reference import brute_force_regular_count
+from _reference import brute_force_regular_count, brute_force_subgraphs
 
 
 def test_complete_host_top_degree():
@@ -156,8 +157,8 @@ def test_profiles_match_pointwise_counts():
 
 
 @st.composite
-def _host_and_degree(draw):
-    n = draw(st.integers(1, 8))
+def _host_and_degree(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
     mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     return graph_from_mask(n, mask), draw(st.integers(0, n - 1))
 
@@ -185,6 +186,31 @@ def test_profiles_equal_enumeration_tallies(host_d):
         _enumerated_tally(enumerate_regular(host, d))
     assert extension_profile(host, d, cache=OracleCache()) == \
         _enumerated_tally(enumerate_extensions(host, d), skip=set(host.edges()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(host_d=_host_and_degree(max_n=6))
+@example(host_d=(complete_graph(6), 3))
+@example(host_d=(complete_graph(5), 3))  # odd dn
+def test_engine_matches_brute_force_subsets(host_d):
+    host, d = host_d
+    n = host.n
+    spanning = brute_force_subgraphs(n, host.edges(), [0] + [d] * n)
+    extra = brute_force_subgraphs(n, complement(host).edges(),
+                                  [0] + [d - host.degree(v) for v in host.vertices()])
+    regular = sorted((SimpleGraph(n, s) for s in spanning), key=canonical_key)
+    extended = sorted((SimpleGraph(n, host.edges() + list(s)) for s in extra),
+                      key=canonical_key)
+    assert count_regular_spanning_subgraphs(host, d, cache=OracleCache()) == len(spanning)
+    assert count_extensions(host, d, cache=OracleCache()) == len(extra)
+    for e in host.edges():
+        assert count_with_edge(host, d, e, cache=OracleCache()) == \
+            sum(e in s for s in spanning)
+    assert spanning_profile(host, d, cache=OracleCache()) == _enumerated_tally(regular)
+    assert extension_profile(host, d, cache=OracleCache()) == \
+        _enumerated_tally(extended, skip=set(host.edges()))
+    assert list(enumerate_regular(host, d)) == regular
+    assert list(enumerate_extensions(host, d)) == extended
 
 
 def test_cache_hits_and_bound():
