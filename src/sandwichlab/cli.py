@@ -426,6 +426,11 @@ def _csv_cell(value):
 
 # -- argument parsing ---------------------------------------------------------------
 
+# config file keys are dests, except these two, which a file names as reports
+# do ("command" is the subcommand's own dest)
+_FILE_KEY_DESTS = {"command": "inner_command", "format": "fmt"}
+
+
 def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
     """The CLI parser; file_values (a --config file's options) replace the
     parser defaults of every subcommand, so explicit flags still win."""
@@ -521,9 +526,7 @@ def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
     p.add_argument("--param")
     p.add_argument("--values")
     if file_values:
-        values = dict(file_values)
-        if "command" in values:  # the subcommand's own dest is "command"
-            values["inner_command"] = values.pop("command")
+        values = {_FILE_KEY_DESTS.get(k, k): v for k, v in file_values.items()}
         for p in sub.choices.values():
             p.set_defaults(**values)
     return parser
@@ -552,7 +555,10 @@ def _file_defaults(argv: list) -> dict:
     config_path = argv[where + 1]
     del argv[where:where + 2]
     with open(config_path) as handle:
-        return json.load(handle)
+        values = json.load(handle)
+    if not isinstance(values, dict):
+        raise ValueError(f"config file {config_path} does not hold a JSON object")
+    return values
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,9 @@ stage-indexed threshold rule deletes edges from an independent-looking copy
 whose stage graphs are uniform given their edge count.  The lower pair
 (G_*, G) is the mirror-image edge-addition process.  Simulation follows the
 literal tape; exact verification pushes point masses through the conditioned
-Markov kernel, whose transition weights are the oracle counts.
+Markov kernel.  One function, `_transition_weights`, gives the move weights
+(oracle counts) that both read, and one loop, `_run_edge_process`, runs the
+literal process in either direction.
 """
 
 from __future__ import annotations
@@ -214,16 +216,73 @@ def _leq_ratio(x: float, num: int, den: int) -> bool:
     return a * den <= num * b
 
 
-def _scan_accept(tape, t, graph, counts, mx, want_member):
-    """Advance the tape to the next accepted edge; returns (index, edge)."""
-    while True:
+def _transition_weights(g: SimpleGraph, d: int, direction: str, cache) -> dict:
+    """Move weights at g: e -> |K_d(g-e)| over the edges of g (delete), or
+    e -> |{K : g+e in K}| over the non-edges that some K contains (add).
+
+    The add weights are the cached profile dict itself: do not mutate them.
+    """
+    if direction == "delete":
+        total, with_edge = spanning_profile(g, d, cache=cache)
+        return {e: total - with_edge.get(e, 0) for e in g.edges()}
+    return extension_profile(g, d, cache=cache)[1]
+
+
+def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str,
+                      cache):
+    """The literal process in either direction; returns (transcript, G).
+
+    At each stage the next tape pair that is a possible move is taken when its
+    variate is at most weight / max weight, compared exactly.
+    """
+    params.require_even()
+    n, d = params.n, params.d
+    delete = direction == "delete"
+    kind = "upper-deletion" if delete else "lower-addition"
+    f = complete_graph(n) if delete else empty_graph(n)
+    steps = []
+    t = 0
+    for i in range(1, (params.steps_upper if delete else params.steps_lower) + 1):
+        weights = _transition_weights(f, d, direction, cache)
+        mx = max(weights.values(), default=0)
+        if mx <= 0:
+            raise RuntimeError(f"{kind} process stalled: no move has positive weight")
+        while True:
+            t += 1
+            e = tape.pair(t)
+            if f.has_edge(*e) != delete:
+                continue
+            w = weights.get(e, 0)
+            if w > 0 and _leq_ratio(tape.x(t), w, mx):
+                break
+        f = f.without_edge(*e) if delete else f.with_edge(*e)
+        steps.append(TranscriptStep(
+            stage=i, tape_index=t, edge=e, threshold=w / mx,
+            min_count=min(weights.values()), max_count=mx,
+            argmax_edges=sum(1 for c in weights.values() if c == mx),
+        ))
+    assert is_regular(f, d)
+    return ProcessTranscript(kind, n, d, steps, tuple(f.edges())), f
+
+
+def _first_appearances(tape: RandomnessTape, k: int):
+    """(tape index, pair) of the first k distinct pairs on the tape, in order."""
+    seen = set()
+    t = 0
+    while len(seen) < k:
         t += 1
         e = tape.pair(t)
-        if graph.has_edge(*e) != want_member:
-            continue
-        c = counts.get(e, 0)
-        if c > 0 and _leq_ratio(tape.x(t), c, mx):
-            return t, e
+        if e not in seen:
+            seen.add(e)
+            yield t, e
+
+
+@lru_cache
+def _companion_thresholds(params: ModelParams) -> tuple:
+    """(None, tau_1, ..., tau_C(n,2)): the clamped companion threshold of each stage."""
+    schedule = eta_schedule(params)
+    return (None,) + tuple(companion_threshold(params, schedule, i)
+                           for i in range(1, params.npairs + 1))
 
 
 # -- upper processes ----------------------------------------------------------
@@ -235,26 +294,7 @@ def run_upper_deletion(params: ModelParams, tape: RandomnessTape, cache=None):
     |K_d(F-e)| / max_f |K_d(F-f)|, compared exactly against the tape variate.
     Returns (transcript, G); G is always d-regular on termination.
     """
-    params.require_even()
-    n, d = params.n, params.d
-    f = complete_graph(n)
-    steps = []
-    t = 0
-    for i in range(1, params.steps_upper + 1):
-        total, with_edge = spanning_profile(f, d, cache=cache)
-        counts = {e: total - with_edge.get(e, 0) for e in f.edges()}
-        mx = max(counts.values())
-        if mx <= 0:
-            raise RuntimeError("deletion process stalled: no removable edge")
-        t, e = _scan_accept(tape, t, f, counts, mx, want_member=True)
-        f = f.without_edge(*e)
-        steps.append(TranscriptStep(
-            stage=i, tape_index=t, edge=e, threshold=counts[e] / mx,
-            min_count=min(counts.values()), max_count=mx,
-            argmax_edges=sum(1 for c in counts.values() if c == mx),
-        ))
-    assert is_regular(f, d)
-    return ProcessTranscript("upper-deletion", n, d, steps, tuple(f.edges())), f
+    return _run_edge_process(params, tape, "delete", cache)
 
 
 def run_gstar(params: ModelParams, tape: RandomnessTape):
@@ -267,9 +307,7 @@ def run_gstar(params: ModelParams, tape: RandomnessTape):
     """
     params.require_even()
     n = params.n
-    schedule = eta_schedule(params)
-    thresholds = [None] + [companion_threshold(params, schedule, i)
-                           for i in range(1, params.npairs + 1)]
+    thresholds = _companion_thresholds(params)
     g = complete_graph(n)
     removed = []
     steps = []
@@ -329,29 +367,19 @@ def run_reference_sequences(params: ModelParams, tape: RandomnessTape) -> Refere
     among the first N distinct edges.
     """
     params.require_even()
-    n = params.n
-    schedule = eta_schedule(params)
+    thresholds = _companion_thresholds(params)
     npairs = params.npairs
     horizon = params.n_budget
-    seen = set()
     k_indices = []
     edges = []
     deleted = []
-    t = 0
-    for i in range(1, npairs + 1):
-        while True:
-            t += 1
-            e = tape.pair(t)
-            if e not in seen:
-                break
-        seen.add(e)
+    for i, (t, e) in enumerate(_first_appearances(tape, npairs), 1):
         k_indices.append(t)
         edges.append(e)
-        tau = companion_threshold(params, schedule, i)
-        deleted.append(tape.x(t) <= tau)
+        deleted.append(tape.x(t) <= thresholds[i])
     e_h = npairs - horizon
     e_gplus = npairs - sum(1 for ok in deleted[:horizon] if ok)
-    return ReferenceRun(n, schedule.R, horizon, k_indices, edges, deleted, e_h, e_gplus)
+    return ReferenceRun(params.n, params.R, horizon, k_indices, edges, deleted, e_h, e_gplus)
 
 
 @dataclass
@@ -406,13 +434,13 @@ def verify_transcript_interleaving(run: CoupledUpperRun) -> dict:
         report["m_le_k_shifted"] = None
 
     # Per-stage hypothesis: min acceptance ratio at stage s at least the
-    # (clamped) companion threshold R stages earlier.
-    schedule = eta_schedule(params)
-    hyp = [None]
+    # (clamped) companion threshold R stages earlier.  hyp_upto[s] says it
+    # holds at every stage up to s.
+    thresholds = _companion_thresholds(params)
+    hyp_upto = [True]
     for step in run.f_transcript.steps:
-        s = step.stage
-        tau = companion_threshold(params, schedule, max(s - r, 1))
-        hyp.append(step.min_count >= tau * step.max_count)
+        tau = thresholds[max(step.stage - r, 1)]
+        hyp_upto.append(hyp_upto[-1] and step.min_count >= tau * step.max_count)
     f_stages = [complete_graph(params.n)]
     for step in run.f_transcript.steps:
         f_stages.append(f_stages[-1].without_edge(*step.edge))
@@ -424,12 +452,11 @@ def verify_transcript_interleaving(run: CoupledUpperRun) -> dict:
     holds = True
     failures = []
     for i in range(1, horizon + 1):
-        if i + r > len(f_stages) - 1:
+        # m(j) <= l(j+R) and the hypothesis must hold at every stage up to
+        # i, so the first stage where either fails ends the chain
+        if (i + r > len(f_stages) - 1 or m_idx[i - 1] > ell[i + r - 1]
+                or not hyp_upto[i + r]):
             break
-        if not all(m_idx[j - 1] <= ell[j + r - 1] for j in range(1, i + 1)):
-            continue
-        if not all(hyp[s] for s in range(1, min(i + r, len(hyp) - 1) + 1)):
-            continue
         checked += 1
         if not f_stages[i + r].is_subgraph_of(g_stages[i]):
             holds = False
@@ -454,26 +481,7 @@ def run_lower_addition(params: ModelParams, tape: RandomnessTape, cache=None):
     The acceptance ratio for adding e is the extension-count ratio
     |{K : F+e in K}| / max_f |{K : F+f in K}|, compared exactly.
     """
-    params.require_even()
-    n, d = params.n, params.d
-    f = empty_graph(n)
-    steps = []
-    t = 0
-    for i in range(1, params.steps_lower + 1):
-        total, tally = extension_profile(f, d, cache=cache)
-        if total == 0:
-            raise RuntimeError("addition process stalled: no extension exists")
-        counts = {e: c for e, c in tally.items()}
-        mx = max(counts.values())
-        t, e = _scan_accept(tape, t, f, counts, mx, want_member=False)
-        f = f.with_edge(*e)
-        steps.append(TranscriptStep(
-            stage=i, tape_index=t, edge=e, threshold=counts[e] / mx,
-            min_count=min(counts.values()), max_count=mx,
-            argmax_edges=sum(1 for c in counts.values() if c == mx),
-        ))
-    assert is_regular(f, d)
-    return ProcessTranscript("lower-addition", n, d, steps, tuple(f.edges())), f
+    return _run_edge_process(params, tape, "add", cache)
 
 
 def run_gsub(params: ModelParams, tape: RandomnessTape):
@@ -486,17 +494,9 @@ def run_gsub(params: ModelParams, tape: RandomnessTape):
     params.require_even()
     n = params.n
     horizon = params.n_lower
-    seen = set()
     steps = []
     h = empty_graph(n)
-    t = 0
-    for i in range(1, horizon + 1):
-        while True:
-            t += 1
-            e = tape.pair(t)
-            if e not in seen:
-                break
-        seen.add(e)
+    for i, (t, e) in enumerate(_first_appearances(tape, horizon), 1):
         accept = tape.x(t) <= 1.0 - params.eta
         if accept:
             h = h.with_edge(*e)
@@ -584,12 +584,7 @@ def exact_kernel_step(dist: DistributionTable, d: int, direction: str,
     probs = {}
     for key, g in dist.graphs.items():
         q = dist.probs[key]
-        if direction == "delete":
-            total, with_edge = spanning_profile(g, d, cache=cache)
-            weights = {e: total - with_edge.get(e, 0) for e in g.edges()}
-        else:
-            _, tally = extension_profile(g, d, cache=cache)
-            weights = dict(tally)
+        weights = _transition_weights(g, d, direction, cache)
         denom = sum(weights.values())
         if denom == 0:
             raise RuntimeError(f"zero total transition weight at {key}")

@@ -19,7 +19,7 @@ from scipy import stats as _scipy_stats
 
 from .graphs import SimpleGraph, canonical_pair, complement, vertex_mask, _bits
 from .oracle import CapacityError, count_regular_spanning_subgraphs, enumerate_regular
-from .coupling import DistributionTable, ModelParams, eta_schedule
+from .coupling import DistributionTable, EtaSchedule, ModelParams
 
 
 class ModelViolationError(ValueError):
@@ -161,16 +161,13 @@ def schedule_mass(params: ModelParams) -> ScheduleMass:
     E S is computed as c0 times a c0-free base sum, so scaling in c0 is exact.
     """
     params.require_even()
-    schedule = eta_schedule(params)
-    r = schedule.R
+    unit = EtaSchedule(params.n, params.d, params.eps, 1.0, params.mu)
+    r = unit.R
     horizon = max(0, params.n_budget)
-    logn = math.log(params.n)
     dn_half = params.d * params.n / 2
     base = 0.0
     for i in range(1, horizon + 1):
-        j = params.steps_upper - r - i + 1
-        eta_base = max(params.mu / logn, (params.n * logn / j) ** 0.125)
-        base += eta_base * dn_half / j
+        base += unit.eta(i + r - 1) * dn_half / (params.steps_upper - r - i + 1)
     e_s = params.c0 * base
     return ScheduleMass(e_s, r, e_s <= r / 2, horizon, base)
 

@@ -145,6 +145,10 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out = _run(["--config", str(cfg), "count"], capsys)
     assert code == 0
     assert out.strip() == "12"
+    cfg.write_text(json.dumps({"host": K5, "d": 2, "format": "json"}))
+    code, out = _run(["--config", str(cfg), "count"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == "12"
 
 
 def test_explicit_flags_beat_config_file(tmp_path, capsys):
@@ -190,4 +194,11 @@ def test_capacity_error_exit_code(capsys):
 
 def test_config_flag_without_path_exit_code(capsys):
     assert main(["count", "--config"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_not_an_object_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1, 2]")
+    assert main(["--config", str(cfg), "count"]) == 2
     assert "error:" in capsys.readouterr().err
