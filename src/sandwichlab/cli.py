@@ -39,7 +39,7 @@ from .coupling import (
     verify_transcript_interleaving,
 )
 from .graphs import canonical_key, difference, parse_graph_literal
-from .oracle import CapacityError, count_regular_spanning_subgraphs
+from .oracle import DEFAULT_CACHE, CapacityError, count_regular_spanning_subgraphs
 from .stats import (
     chi_square_uniformity,
     containment_rate,
@@ -393,15 +393,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
     handler = _HANDLERS.get(config.command)
     if handler is None:
         raise ValueError(f"unknown command {config.command!r}")
+    before = (DEFAULT_CACHE.hits, DEFAULT_CACHE.misses, len(DEFAULT_CACHE))
     started = time.time()
     results, hard_pass = handler(config)
+    wall = time.time() - started
+    after = (DEFAULT_CACHE.hits, DEFAULT_CACHE.misses, len(DEFAULT_CACHE))
+    # lookups made in worker processes (jobs > 1) use the workers' caches
+    # and are not counted here
+    oracle_cache = {name: a - b for name, a, b in
+                    zip(("hits", "misses", "entries"), after, before)}
     report = {
         "schema": SCHEMA,
         "version": __version__,
         "config": config.as_dict(),
         "results": results,
         "hard_pass": bool(hard_pass),
-        "timing": {"wall_time_s": time.time() - started},
+        "timing": {"wall_time_s": wall, "oracle_cache": oracle_cache},
     }
     return report
 
@@ -561,6 +568,33 @@ def _file_defaults(argv: list) -> dict:
     return values
 
 
+def _check_file_values(parser, args, file_values: dict):
+    """Reject a --config value that its flag's type or choices would reject.
+
+    argparse checks choices only on command-line values, and converts a
+    default only when it is a string, while file values reach the parser as
+    defaults of any JSON type.
+    """
+    dests = {_FILE_KEY_DESTS.get(k, k) for k in file_values}
+    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+    for action in commands[args.command]._actions:
+        value = getattr(args, action.dest, None)
+        if action.dest not in dests or value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.type is not None:
+            try:
+                typed = action.type(value) == value
+            except (TypeError, ValueError):
+                typed = False
+            if not typed:
+                raise ValueError(f"config value {value!r} for {flag} is not "
+                                 f"of type {action.type.__name__}")
+        if action.choices is not None and value not in action.choices:
+            allowed = ", ".join(map(repr, action.choices))
+            raise ValueError(f"config value {value!r} for {flag} is not one of {allowed}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -568,8 +602,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = build_parser(file_defaults).parse_args(argv)
+    parser = build_parser(file_defaults)
+    args = parser.parse_args(argv)
     try:
+        _check_file_values(parser, args, file_defaults)
         config = config_from_args(args)
         report = run_experiment(config)
     except KeyError as exc:

@@ -61,6 +61,11 @@ class ModelParams:
             raise ValueError("need 0 <= d <= n-1")
         if self.m is not None and self.m < 0:
             raise ValueError("m must be nonnegative")
+        # a negative eta puts the lower horizon floor(dn/2 - eta*n) above
+        # C(n,2), so the first-appearance scan would wait for pairs that
+        # do not exist
+        if not self.eta >= 0:
+            raise ValueError("eta must be nonnegative")
         # the companion waits for a tape variate in [0,1) at or below its
         # threshold, which is at least tau_floor: a zero floor can wait forever
         if not 0.0 < self.tau_floor <= 1.0:
@@ -220,7 +225,8 @@ def _transition_weights(g: SimpleGraph, d: int, direction: str, cache) -> dict:
     """Move weights at g: e -> |K_d(g-e)| over the edges of g (delete), or
     e -> |{K : g+e in K}| over the non-edges that some K contains (add).
 
-    The add weights are the cached profile dict itself: do not mutate them.
+    Both are fresh dicts in edge order: the caller owns them, and their order
+    does not depend on the oracle cache's state.
     """
     if direction == "delete":
         total, with_edge = spanning_profile(g, d, cache=cache)

@@ -251,6 +251,203 @@ def canonical_key(g: SimpleGraph):
     return (g.n, g.edge_mask())
 
 
+def _twins(adj, u: int, v: int) -> bool:
+    """N(u) - v == N(v) - u: the transposition (u v) is an automorphism."""
+    return not (adj[u] ^ adj[v]) & ~((1 << u) | (1 << v))
+
+
+def _refine(adj, cells: list, splitters: list, n: int) -> list:
+    """Equitable refinement of an ordered partition (vertex bitmasks).
+
+    Splits every cell by its vertices' neighbor counts in each splitter,
+    ordering the pieces by count in place of the cell; a cell that splits
+    joins the splitters as its pieces.  When the partition was equitable
+    before some cells were split, those new cells are the only splitters
+    needed.  The result depends on the graph and the inputs only, never on
+    the vertex labels.
+    """
+    while splitters and len(cells) < n:
+        splitter = splitters.pop()
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            groups = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                k = (adj[low.bit_length() - 1] & splitter).bit_count()
+                groups[k] = groups.get(k, 0) | low
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            pieces = [groups[k] for k in sorted(groups)]
+            out.extend(pieces)
+            if cell in splitters:
+                splitters.remove(cell)
+            splitters.extend(pieces)
+        cells = out
+    return cells
+
+
+def _split_twin_class(adj, cell: int) -> list:
+    """Singletons of the cell if its vertices are pairwise twins, else [cell].
+
+    Being twins is an equivalence relation, so comparing with one member
+    suffices.
+    """
+    u = cell.bit_length() - 1
+    if all(_twins(adj, u, v) for v in _bits(cell)):
+        return [1 << v for v in _bits(cell)]
+    return [cell]
+
+
+class _LabelingSearch:
+    """Individualization-refinement search tree of one graph.
+
+    A node is an equitable ordered partition.  Cells whose vertices are all
+    twins of each other are split into singletons at once: every order of
+    them gives an isomorphic subtree.  The node then branches on each vertex
+    of its first non-singleton cell, skipping a vertex that a known
+    automorphism fixing the node's individualized vertices maps to an
+    explored one (twin transpositions, and automorphisms found as two leaves
+    with equal certificates).  Such pruning removes only subtrees whose leaf
+    certificates some explored subtree also holds, so the minimum over the
+    visited leaves is the minimum over the whole tree, which is invariant.
+    """
+
+    def __init__(self, g: SimpleGraph):
+        self.n = g.n
+        self.adj = g.adj
+        self.first = None  # (certificate, order, path) of the first leaf
+        self.best = None  # the same for the least certificate so far
+        self.autos = []  # automorphisms found, as tuples perm[v]
+
+    def node(self, cells: list, path: list) -> int:
+        """Explore the subtree; return the depth at which the search resumes."""
+        adj = self.adj
+        target = None
+        if len(cells) < self.n:
+            split = []
+            for cell in cells:
+                if cell & (cell - 1):
+                    pieces = _split_twin_class(adj, cell)
+                    if target is None and len(pieces) == 1:
+                        target = len(split)
+                    split.extend(pieces)
+                else:
+                    split.append(cell)
+            cells = split
+        if target is None:
+            return self.leaf(cells, path)
+        depth = len(path)
+        cell = cells[target]
+        explored = []
+        for v in _bits(cell):
+            if explored and self.pruned(v, explored, path, cell):
+                continue
+            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:]
+            resume = self.node(_refine(adj, child, [1 << v], self.n), path + [v])
+            explored.append(v)
+            if resume < depth:
+                return resume
+        return depth - 1
+
+    def pruned(self, v: int, explored: list, path: list, cell: int) -> bool:
+        """Is v in the orbit of an explored vertex under the known automorphisms
+        that fix the path?"""
+        adj = self.adj
+        if any(_twins(adj, u, v) for u in explored):
+            return True
+        gens = [p for p in self.autos if all(p[w] == w for w in path)]
+        if not gens:
+            return False
+        orbit = {v}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            images = [p[x] for p in gens]
+            images.extend(y for y in _bits(cell) if _twins(adj, x, y))
+            for y in images:
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        return any(u in orbit for u in explored)
+
+    def leaf(self, cells: list, path: list) -> int:
+        """Record a discrete partition's certificate; return the resume depth."""
+        adj = self.adj
+        order = [cell.bit_length() - 1 for cell in cells]
+        bit = [0] * (self.n + 1)
+        for i, v in enumerate(order, 1):
+            bit[v] = 1 << i
+        rows = [0]
+        for v in order:
+            row = 0
+            rest = adj[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row |= bit[low.bit_length() - 1]
+            rows.append(row)
+        cert = tuple(rows)
+        leaf = (cert, order, path)
+        if self.first is None:
+            self.first = self.best = leaf
+            return len(path) - 1
+        for known in (self.first, self.best):
+            if cert == known[0]:
+                # the two leaves differ by an automorphism, which maps the
+                # known leaf's subtree at their divergence onto this one's
+                self.autos.append(_leaf_map(known[1], order, self.n))
+                return _common_prefix(path, known[2])
+        if cert < self.best[0]:
+            self.best = leaf
+        return len(path) - 1
+
+
+def _leaf_map(source, image, n: int) -> tuple:
+    perm = [0] * (n + 1)
+    for a, b in zip(source, image):
+        perm[a] = b
+    return tuple(perm)
+
+
+def _common_prefix(a: list, b: list) -> int:
+    k = 0
+    while k < len(a) and k < len(b) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def canonical_labeling(g: SimpleGraph):
+    """(certificate, relabel): an isomorphism-complete certificate of g.
+
+    Two graphs on the same vertex count have equal certificates iff they are
+    isomorphic.  relabel[v] is v's canonical label in 1..n (relabel[0] is
+    0), and the certificate is the adjacency-row tuple of g relabeled by it,
+    in the layout of SimpleGraph.adj.  Individualization-refinement (McKay &
+    Piperno, "Practical graph isomorphism II", 2014): colour refinement from
+    the degree partition, branching on the first non-singleton cell, and the
+    least relabeled row tuple over the leaves.
+    """
+    n, adj = g.n, g.adj
+    by_degree = {}
+    for v in range(1, n + 1):
+        k = adj[v].bit_count()
+        by_degree[k] = by_degree.get(k, 0) | (1 << v)
+    cells = [by_degree[k] for k in sorted(by_degree)]
+    search = _LabelingSearch(g)
+    search.node(_refine(adj, cells, cells[:], n), [])
+    cert, order, _ = search.best
+    relabel = [0] * (n + 1)
+    for i, v in enumerate(order, 1):
+        relabel[v] = i
+    return cert, tuple(relabel)
+
+
 def edges_between(g: SimpleGraph, u_set, v_set) -> int:
     """Ordered-pair edge count |{(u,v): u in U, v in V, uv an edge}|.
 

@@ -12,6 +12,15 @@ forward pass in topological order counts the paths into each state, and the
 subgraphs that choose an edge at a state number the state's paths times the
 completions below that choice.  Enumeration walks the DAG from its root, so
 it never enters a branch that completes no subgraph.
+
+Results are cached in an OracleCache.  Edge profiles are keyed by the host's
+isomorphism certificate (graphs.canonical_labeling), because their counts
+are invariant under relabeling and the coupled processes meet the same host
+up to relabeling in every trial (K_n - e, a single edge, ...); the entry
+holds the per-edge counts in canonical labels.  Counts keep the labeled key
+on purpose: most of their traffic is closed_form_law visiting every labeled
+edge subset, most of which the search rejects as infeasible faster than a
+certificate can be built.
 """
 
 from __future__ import annotations
@@ -19,7 +28,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from itertools import combinations
 
-from .graphs import SimpleGraph, canonical_key, canonical_pair, complement
+from .graphs import (
+    SimpleGraph,
+    canonical_key,
+    canonical_labeling,
+    canonical_pair,
+    complement,
+)
 
 ORACLE_CEILING = 24
 
@@ -29,7 +44,12 @@ class CapacityError(RuntimeError):
 
 
 class OracleCache:
-    """Bounded LRU cache from (canonical_key, d, kind) to exact results."""
+    """Bounded LRU cache of exact results.
+
+    Counts are keyed by (canonical_key, d, kind), the labeled edge set; edge
+    profiles by (n, certificate, d, kind), the isomorphism class, holding
+    the per-edge counts in canonical labels.
+    """
 
     def __init__(self, maxsize: int = 200_000):
         self.maxsize = maxsize
@@ -274,38 +294,53 @@ def enumerate_extensions(f: SimpleGraph, d: int):
 
 # -- edge profiles (used by the coupling processes) ---------------------------
 
+def _profile_entry(g: SimpleGraph, d: int, kind: str, cache, compute):
+    """Profile of g from the cache entry of its isomorphism class.
+
+    The entry holds the per-edge counts in canonical labels.  A miss computes
+    the profile on g itself and stores it relabeled; a hit maps the stored
+    counts back through the inverse relabeling.  Either way the per-edge
+    dict is a fresh one, sorted by edge.
+    """
+    _check_capacity(g.n)
+    cache = DEFAULT_CACHE if cache is None else cache
+    cert, relabel = canonical_labeling(g)
+    key = (g.n, cert, d, kind)
+    hit = cache.get(key)
+    if hit is None:
+        total, tally = compute()
+        cache.put(key, (total, {_relabel(relabel, e): c for e, c in tally.items()}))
+        return total, dict(sorted(tally.items()))
+    total, canonical_tally = hit
+    inverse = [0] * (g.n + 1)
+    for v in g.vertices():
+        inverse[relabel[v]] = v
+    return total, dict(sorted((_relabel(inverse, e), c)
+                              for e, c in canonical_tally.items()))
+
+
+def _relabel(labels, e) -> tuple:
+    a, b = labels[e[0]], labels[e[1]]
+    return (a, b) if a < b else (b, a)
+
+
 def spanning_profile(host: SimpleGraph, d: int, cache: OracleCache = None):
     """(total, per-edge counts) for the d-regular spanning subgraphs of host.
 
-    per-edge counts maps each host edge e to |{K : e in E(K)}|; edges carried
-    by no subgraph are absent.  One backward and one forward pass over the
-    counting DAG serve every edge, which is what the deletion process needs at
-    each stage.
+    per-edge counts maps each host edge e to |{K : e in E(K)}|, in edge
+    order; edges carried by no subgraph are absent.  One backward and one
+    forward pass over the counting DAG serve every edge, which is what the
+    deletion process needs at each stage.
     """
-    _check_capacity(host.n)
-    cache = DEFAULT_CACHE if cache is None else cache
-    key = (canonical_key(host), d, "span-profile")
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    result = _profile(host.adj, host.n, [0] + [d] * host.n)
-    cache.put(key, result)
-    return result
+    return _profile_entry(host, d, "span-profile", cache,
+                          lambda: _profile(host.adj, host.n, [0] + [d] * host.n))
 
 
 def extension_profile(f: SimpleGraph, d: int, cache: OracleCache = None):
     """(total, per-missing-edge counts) for the d-regular graphs containing f.
 
-    per-missing-edge counts maps each non-edge e of f to |{K : f + e in K}|;
-    non-edges carried by no such graph are absent.
+    per-missing-edge counts maps each non-edge e of f to |{K : f + e in K}|,
+    in edge order; non-edges carried by no such graph are absent.
     """
-    _check_capacity(f.n)
-    cache = DEFAULT_CACHE if cache is None else cache
-    key = (canonical_key(f), d, "ext-profile")
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    target = [0] + [d - f.degree(v) for v in f.vertices()]
-    result = _profile(complement(f).adj, f.n, target)
-    cache.put(key, result)
-    return result
+    return _profile_entry(f, d, "ext-profile", cache, lambda: _profile(
+        complement(f).adj, f.n, [0] + [d - f.degree(v) for v in f.vertices()]))

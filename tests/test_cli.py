@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 from sandwichlab.cli import (
     ExperimentConfig,
@@ -202,3 +203,35 @@ def test_config_file_not_an_object_exit_code(tmp_path, capsys):
     cfg.write_text("[1, 2]")
     assert main(["--config", str(cfg), "count"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_value_rejected_like_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"host": K5, "d": 2, "format": "xml"}))
+    assert main(["--config", str(cfg), "count"]) == 2
+    assert "error:" in capsys.readouterr().err
+    # an explicit flag replaces the file value, so nothing invalid is left
+    code, out = _run(["--config", str(cfg), "count", "--format", "plain"], capsys)
+    assert (code, out.strip()) == (0, "12")
+    for bad in ({"n": [6]}, {"n": 6.5}, {"eps": [0.5]}):
+        cfg.write_text(json.dumps({"n": 6, "d": 3, "trials": 1, **bad}))
+        assert main(["--config", str(cfg), "couple-lower"]) == 2
+        assert "error:" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"n": 4, "d": 3, "eps": 1, "trials": 1}))
+    assert main(["--config", str(cfg), "couple-lower"]) == 0
+
+
+def test_negative_eta_exit_code(capsys):
+    started = time.monotonic()
+    assert main(["couple-lower", "--n", "6", "--d", "3", "--eta", "-2",
+                 "--trials", "1"]) == 2
+    assert time.monotonic() - started < 10
+    assert "error:" in capsys.readouterr().err
+
+
+def test_report_counts_oracle_cache_lookups():
+    report = run_experiment(ExperimentConfig("couple-upper", {"n": 6, "d": 3},
+                                             seed=1, trials=3))
+    cache = report["timing"]["oracle_cache"]
+    assert set(cache) == {"hits", "misses", "entries"}
+    assert cache["hits"] + cache["misses"] > 0

@@ -239,6 +239,15 @@ def test_zero_tau_floor_rejected():
     assert ModelParams(n=6, d=3, tau_floor=1.0).tau_floor == 1.0
 
 
+def test_negative_eta_rejected():
+    # n_lower would be 21 > C(6,2) = 15, and the lower companion would scan forever
+    with pytest.raises(ValueError, match="eta"):
+        ModelParams(n=6, d=3, eta=-2)
+    with pytest.raises(ValueError, match="eta"):
+        ModelParams(n=6, d=3, eta=float("nan"))
+    assert ModelParams(n=6, d=3, eta=0.0).n_lower == 9
+
+
 def test_exact_analysis_capacity():
     with pytest.raises(CapacityError):
         exact_marginal(ModelParams(n=8, d=3), 1, "delete")

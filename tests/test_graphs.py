@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandwichlab.graphs import (
     GraphFormatError,
     SimpleGraph,
     canonical_key,
+    canonical_labeling,
     complement,
     complete_graph,
     cycle_graph,
@@ -16,6 +19,7 @@ from sandwichlab.graphs import (
     empty_graph,
     format_graph_literal,
     gnp_graph,
+    graph_from_mask,
     intersection,
     is_regular,
     multi_covered_edges,
@@ -129,6 +133,79 @@ def test_canonical_key_identity():
         if g.edge_count() < 15:
             e = complement(g).edges()[0]
             assert canonical_key(g) != canonical_key(g.with_edge(*e))
+
+
+def _relabeled(g, perm):
+    """g with each vertex v renamed perm[v]."""
+    return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def _graph_and_permutation(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return graph_from_mask(n, mask), (0, *perm)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g_perm=_graph_and_permutation())
+def test_canonical_labeling_invariant_under_relabeling(g_perm):
+    g, perm = g_perm
+    cert, relabel = canonical_labeling(g)
+    assert sorted(relabel) == list(range(g.n + 1))
+    assert _relabeled(g, relabel).adj == cert
+    h = _relabeled(g, perm)
+    h_cert, h_relabel = canonical_labeling(h)
+    assert h_cert == cert
+    assert _relabeled(h, h_relabel).adj == cert
+
+
+def _cocktail_party(k):
+    return SimpleGraph(2 * k, [(u, v) for u in range(1, 2 * k + 1)
+                               for v in range(u + 1, 2 * k + 1)
+                               if not (u % 2 and v == u + 1)])
+
+
+def _crown(k):
+    """K_{k,k} minus a perfect matching."""
+    return SimpleGraph(2 * k, [(i, k + j) for i in range(1, k + 1)
+                               for j in range(1, k + 1) if i != j])
+
+
+def _petersen():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(5 + i, 5 + (i + 1) % 5 + 1) for i in range(1, 6)]
+    return SimpleGraph(10, outer + spokes + inner)
+
+
+def test_canonical_labeling_symmetric_graphs():
+    """Large automorphism groups, where the search prunes most of its tree."""
+    rng = random.Random(11)
+    graphs = [_cocktail_party(6), _crown(7), _petersen(), cycle_graph(12),
+              complement(cycle_graph(9)), complete_graph(10).without_edge(2, 7),
+              empty_graph(12), SimpleGraph(12, [(4, 9)])]
+    certs = set()
+    for g in graphs:
+        cert, relabel = canonical_labeling(g)
+        certs.add(cert)
+        assert _relabeled(g, relabel).adj == cert
+        for _ in range(3):
+            perm = [0] + rng.sample(range(1, g.n + 1), g.n)
+            assert canonical_labeling(_relabeled(g, perm))[0] == cert
+    assert len(certs) == len(graphs)
+    # same degree sequence, not isomorphic: C6 against two triangles
+    two_triangles = SimpleGraph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    assert canonical_labeling(cycle_graph(6))[0] != canonical_labeling(two_triangles)[0]
+
+
+def test_canonical_labeling_counts_isomorphism_classes():
+    """Distinct certificates over all labeled graphs: OEIS A000088."""
+    for n, classes in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):
+        certs = {canonical_labeling(graph_from_mask(n, mask))[0]
+                 for mask in range(1 << (n * (n - 1) // 2))}
+        assert len(certs) == classes
 
 
 def test_graph_literal_round_trip():

@@ -213,6 +213,33 @@ def test_engine_matches_brute_force_subsets(host_d):
     assert list(enumerate_extensions(host, d)) == extended
 
 
+@st.composite
+def _host_degree_permutation(draw, max_n=8):
+    host, d = draw(_host_and_degree(max_n))
+    perm = draw(st.permutations(range(1, host.n + 1)))
+    return host, d, (0, *perm)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_host_degree_permutation())
+@example(case=(complete_graph(8).without_edge(1, 2), 3, (0, 8, 7, 6, 5, 4, 3, 2, 1)))
+@example(case=(SimpleGraph(8, [(1, 2)]), 3, (0, 3, 8, 1, 2, 4, 5, 6, 7)))
+def test_profile_hit_on_relabeled_host_equals_cold_query(case):
+    """A cache warmed by one host serves an isomorphic copy its own profile."""
+    host, d, perm = case
+    copy = SimpleGraph(host.n, [(perm[u], perm[v]) for u, v in host.edges()])
+    for profile in (spanning_profile, extension_profile):
+        warm = OracleCache()
+        profile(host, d, cache=warm)
+        hits = warm.hits
+        total, tally = profile(copy, d, cache=warm)
+        assert warm.hits == hits + 1
+        cold_total, cold_tally = profile(copy, d, cache=OracleCache())
+        assert total == cold_total
+        assert list(tally.items()) == list(cold_tally.items())
+        assert list(tally) == sorted(tally)
+
+
 def test_cache_hits_and_bound():
     cache = OracleCache(maxsize=4)
     g = complete_graph(5)
