@@ -441,8 +441,10 @@ _FILE_KEY_DESTS = {"command": "inner_command", "format": "fmt"}
 def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
     """The CLI parser; file_values (a --config file's options) replace the
     parser defaults of every subcommand, so explicit flags still win."""
+    # no abbreviations: _file_defaults reads --config before argparse runs,
+    # so an abbreviated --conf would parse and then be ignored
     parser = argparse.ArgumentParser(
-        prog="sandwichlab",
+        prog="sandwichlab", allow_abbrev=False,
         description="Desk-scale laboratory for sandwich couplings of random "
                     "regular graphs.")
     parser.add_argument("--config", help="JSON file with default options")
@@ -553,14 +555,21 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _file_defaults(argv: list) -> dict:
-    """Remove `--config PATH` from argv and return the JSON options PATH holds."""
-    if "--config" not in argv:
+    """Remove `--config PATH` or `--config=PATH` from argv and return the
+    JSON options PATH holds."""
+    for where, token in enumerate(argv):
+        if token == "--config":
+            if where + 1 == len(argv):
+                raise ValueError("--config needs a file path")
+            config_path = argv[where + 1]
+            del argv[where:where + 2]
+            break
+        if token.startswith("--config="):
+            config_path = token[len("--config="):]
+            del argv[where]
+            break
+    else:
         return {}
-    where = argv.index("--config")
-    if where + 1 == len(argv):
-        raise ValueError("--config needs a file path")
-    config_path = argv[where + 1]
-    del argv[where:where + 2]
     with open(config_path) as handle:
         values = json.load(handle)
     if not isinstance(values, dict):

@@ -221,7 +221,7 @@ def _leq_ratio(x: float, num: int, den: int) -> bool:
     return a * den <= num * b
 
 
-def _transition_weights(g: SimpleGraph, d: int, direction: str, cache) -> dict:
+def _transition_weights(g: SimpleGraph, d: int, direction: str) -> dict:
     """Move weights at g: e -> |K_d(g-e)| over the edges of g (delete), or
     e -> |{K : g+e in K}| over the non-edges that some K contains (add).
 
@@ -229,13 +229,12 @@ def _transition_weights(g: SimpleGraph, d: int, direction: str, cache) -> dict:
     does not depend on the oracle cache's state.
     """
     if direction == "delete":
-        total, with_edge = spanning_profile(g, d, cache=cache)
+        total, with_edge = spanning_profile(g, d)
         return {e: total - with_edge.get(e, 0) for e in g.edges()}
-    return extension_profile(g, d, cache=cache)[1]
+    return extension_profile(g, d)[1]
 
 
-def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str,
-                      cache):
+def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str):
     """The literal process in either direction; returns (transcript, G).
 
     At each stage the next tape pair that is a possible move is taken when its
@@ -249,7 +248,7 @@ def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str,
     steps = []
     t = 0
     for i in range(1, (params.steps_upper if delete else params.steps_lower) + 1):
-        weights = _transition_weights(f, d, direction, cache)
+        weights = _transition_weights(f, d, direction)
         mx = max(weights.values(), default=0)
         if mx <= 0:
             raise RuntimeError(f"{kind} process stalled: no move has positive weight")
@@ -293,14 +292,14 @@ def _companion_thresholds(params: ModelParams) -> tuple:
 
 # -- upper processes ----------------------------------------------------------
 
-def run_upper_deletion(params: ModelParams, tape: RandomnessTape, cache=None):
+def run_upper_deletion(params: ModelParams, tape: RandomnessTape):
     """Edge-deletion process from the complete graph down to a d-regular G.
 
     At each stage the acceptance ratio for removing e is
     |K_d(F-e)| / max_f |K_d(F-f)|, compared exactly against the tape variate.
     Returns (transcript, G); G is always d-regular on termination.
     """
-    return _run_edge_process(params, tape, "delete", cache)
+    return _run_edge_process(params, tape, "delete")
 
 
 def run_gstar(params: ModelParams, tape: RandomnessTape):
@@ -400,10 +399,10 @@ class CoupledUpperRun:
     reference: ReferenceRun
 
 
-def run_coupled_upper(params: ModelParams, seed, cache=None) -> CoupledUpperRun:
+def run_coupled_upper(params: ModelParams, seed) -> CoupledUpperRun:
     """Run both upper processes on one shared tape; contained = (G inside G*)."""
     tape = RandomnessTape(params.n, seed)
-    f_tr, g = run_upper_deletion(params, tape, cache=cache)
+    f_tr, g = run_upper_deletion(params, tape)
     g_tr, gstar = run_gstar(params, tape)
     ref = run_reference_sequences(params, tape)
     return CoupledUpperRun(params, seed, g, gstar, g.is_subgraph_of(gstar),
@@ -481,13 +480,13 @@ def verify_transcript_interleaving(run: CoupledUpperRun) -> dict:
 
 # -- lower processes ----------------------------------------------------------
 
-def run_lower_addition(params: ModelParams, tape: RandomnessTape, cache=None):
+def run_lower_addition(params: ModelParams, tape: RandomnessTape):
     """Edge-addition process from the empty graph up to a d-regular G.
 
     The acceptance ratio for adding e is the extension-count ratio
     |{K : F+e in K}| / max_f |{K : F+f in K}|, compared exactly.
     """
-    return _run_edge_process(params, tape, "add", cache)
+    return _run_edge_process(params, tape, "add")
 
 
 def run_gsub(params: ModelParams, tape: RandomnessTape):
@@ -537,10 +536,10 @@ class CoupledLowerRun:
     gsub_transcript: ProcessTranscript
 
 
-def run_coupled_lower(params: ModelParams, seed, cache=None) -> CoupledLowerRun:
+def run_coupled_lower(params: ModelParams, seed) -> CoupledLowerRun:
     """Run both lower processes on one shared tape; contained = (G_* inside G)."""
     tape = RandomnessTape(params.n, seed)
-    f_tr, g = run_lower_addition(params, tape, cache=cache)
+    f_tr, g = run_lower_addition(params, tape)
     s_tr, gsub = run_gsub(params, tape)
     return CoupledLowerRun(params, seed, g, gsub, gsub.is_subgraph_of(g), f_tr, s_tr)
 
@@ -576,8 +575,7 @@ def point_mass(g: SimpleGraph) -> DistributionTable:
     return DistributionTable(g.n, {key: g}, {key: Fraction(1)})
 
 
-def exact_kernel_step(dist: DistributionTable, d: int, direction: str,
-                      cache=None) -> DistributionTable:
+def exact_kernel_step(dist: DistributionTable, d: int, direction: str) -> DistributionTable:
     """Push the law through one step of the conditioned transition kernel.
 
     Conditioned on a move happening, edge e is chosen with probability
@@ -590,7 +588,7 @@ def exact_kernel_step(dist: DistributionTable, d: int, direction: str,
     probs = {}
     for key, g in dist.graphs.items():
         q = dist.probs[key]
-        weights = _transition_weights(g, d, direction, cache)
+        weights = _transition_weights(g, d, direction)
         denom = sum(weights.values())
         if denom == 0:
             raise RuntimeError(f"zero total transition weight at {key}")
@@ -617,7 +615,7 @@ def _last_stage(params: ModelParams, direction: str) -> int:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def exact_stage_laws(params: ModelParams, direction: str, cache=None):
+def exact_stage_laws(params: ModelParams, direction: str):
     """Iterator over the exact laws of stages 0, 1, ..., last, in order.
 
     Each law is one conditioned kernel step from the one before it, so the
@@ -626,26 +624,24 @@ def exact_stage_laws(params: ModelParams, direction: str, cache=None):
     """
     last = _last_stage(params, direction)
     start = complete_graph(params.n) if direction == "delete" else empty_graph(params.n)
-    return _iterate_kernel(point_mass(start), params.d, direction, last, cache)
+    return _iterate_kernel(point_mass(start), params.d, direction, last)
 
 
-def _iterate_kernel(dist, d, direction, steps, cache):
+def _iterate_kernel(dist, d, direction, steps):
     yield dist
     for _ in range(steps):
-        dist = exact_kernel_step(dist, d, direction, cache=cache)
+        dist = exact_kernel_step(dist, d, direction)
         yield dist
 
 
-def exact_marginal(params: ModelParams, i: int, direction: str,
-                   cache=None) -> DistributionTable:
+def exact_marginal(params: ModelParams, i: int, direction: str) -> DistributionTable:
     """Exact stage-i law obtained by iterating the conditioned kernel."""
     if not 0 <= i <= _last_stage(params, direction):
         raise ValueError("stage out of range")
-    return next(islice(exact_stage_laws(params, direction, cache=cache), i, None))
+    return next(islice(exact_stage_laws(params, direction), i, None))
 
 
-def closed_form_law(params: ModelParams, i: int, direction: str,
-                    cache=None) -> DistributionTable:
+def closed_form_law(params: ModelParams, i: int, direction: str) -> DistributionTable:
     """Exact stage-i law from the closed form.
 
     Delete direction: P(F) = |K_d(F)| / |K_d(n)| / C(C(n,2)-dn/2, C(n,2)-dn/2-i)
@@ -656,14 +652,14 @@ def closed_form_law(params: ModelParams, i: int, direction: str,
     if not 0 <= i <= last:
         raise ValueError("stage out of range")
     n, d = params.n, params.d
-    k_total = count_regular_spanning_subgraphs(complete_graph(n), d, cache=cache)
+    k_total = count_regular_spanning_subgraphs(complete_graph(n), d)
     denominator = k_total * math.comb(last, last - i)
     if direction == "delete":
         edge_count = params.npairs - i
-        weight = lambda g: count_regular_spanning_subgraphs(g, d, cache=cache)
+        weight = lambda g: count_regular_spanning_subgraphs(g, d)
     else:
         edge_count = i
-        weight = lambda g: count_extensions(g, d, cache=cache)
+        weight = lambda g: count_extensions(g, d)
     graphs = {}
     probs = {}
     for edges in combinations(pair_list(n), edge_count):

@@ -22,12 +22,6 @@ def pair_list(n: int) -> tuple:
     return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def pair_index(n: int) -> dict:
-    """Map from canonical pair to its position in pair_list(n)."""
-    return {p: i for i, p in enumerate(pair_list(n))}
-
-
 def canonical_pair(u: int, v: int) -> tuple:
     if u == v:
         raise GraphFormatError(f"self-loop {u}-{v}")
@@ -92,11 +86,17 @@ class SimpleGraph:
         return sum(bin(r).count("1") for r in self.adj) // 2
 
     def edge_mask(self) -> int:
-        """Edge set packed as a bitmask over pair_list(self.n)."""
-        idx = pair_index(self.n)
+        """Edge set packed as a bitmask over pair_list(self.n).
+
+        The pairs (u, u+1), ..., (u, n) are consecutive in pair_list, so
+        row u shifted down to its bit u+1 lands at their offset as a block.
+        """
+        n, adj = self.n, self.adj
         mask = 0
-        for e in self.edges():
-            mask |= 1 << idx[e]
+        offset = 0
+        for u in range(1, n):
+            mask |= (adj[u] >> (u + 1)) << offset
+            offset += n - u
         return mask
 
     # -- derived graphs ----------------------------------------------------

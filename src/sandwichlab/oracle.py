@@ -13,14 +13,13 @@ subgraphs that choose an edge at a state number the state's paths times the
 completions below that choice.  Enumeration walks the DAG from its root, so
 it never enters a branch that completes no subgraph.
 
-Results are cached in an OracleCache.  Edge profiles are keyed by the host's
-isomorphism certificate (graphs.canonical_labeling), because their counts
-are invariant under relabeling and the coupled processes meet the same host
-up to relabeling in every trial (K_n - e, a single edge, ...); the entry
-holds the per-edge counts in canonical labels.  Counts keep the labeled key
-on purpose: most of their traffic is closed_form_law visiting every labeled
-edge subset, most of which the search rejects as infeasible faster than a
-certificate can be built.
+Edge profiles are cached in an OracleCache, keyed by the host's
+isomorphism certificate (graphs.canonical_labeling): their counts are
+invariant under relabeling, and the coupled processes meet the same host up
+to relabeling at every stage of every trial (K_n - e, a single edge, ...).
+The entry holds the per-edge counts in canonical labels.  Counts are not
+cached: their main caller, closed_form_law, asks for each labeled edge
+subset once.
 """
 
 from __future__ import annotations
@@ -44,11 +43,10 @@ class CapacityError(RuntimeError):
 
 
 class OracleCache:
-    """Bounded LRU cache of exact results.
+    """Bounded LRU cache of edge profiles.
 
-    Counts are keyed by (canonical_key, d, kind), the labeled edge set; edge
-    profiles by (n, certificate, d, kind), the isomorphism class, holding
-    the per-edge counts in canonical labels.
+    Keys are (n, certificate, d, kind), the host's isomorphism class; each
+    entry holds the total and the per-edge counts in canonical labels.
     """
 
     def __init__(self, maxsize: int = 200_000):
@@ -202,7 +200,7 @@ def _subgraphs(adj, n: int, target):
 
 # -- counting operations -------------------------------------------------------
 
-def count_regular_spanning_subgraphs(host: SimpleGraph, d: int, cache: OracleCache = None) -> int:
+def count_regular_spanning_subgraphs(host: SimpleGraph, d: int) -> int:
     """Exact number of d-regular spanning subgraphs of the host.
 
     Returns 0 (rather than erroring) when dn is odd or no subgraph exists.
@@ -210,60 +208,38 @@ def count_regular_spanning_subgraphs(host: SimpleGraph, d: int, cache: OracleCac
     if not 0 <= d <= host.n - 1 and d != 0:
         return 0
     _check_capacity(host.n)
-    cache = DEFAULT_CACHE if cache is None else cache
-    key = (canonical_key(host), d, "count")
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    value = _search(host.adj, host.n, [0] + [d] * host.n)[0]
-    cache.put(key, value)
-    return value
+    return _search(host.adj, host.n, [0] + [d] * host.n)[0]
 
 
-def count_with_edge(host: SimpleGraph, d: int, e, cache: OracleCache = None) -> int:
+def count_with_edge(host: SimpleGraph, d: int, e) -> int:
     """Exact number of d-regular spanning subgraphs of the host containing e."""
     u, v = canonical_pair(*e)
     if not host.has_edge(u, v):
         raise ValueError(f"edge {u}-{v} not in host")
     _check_capacity(host.n)
-    cache = DEFAULT_CACHE if cache is None else cache
-    key = (canonical_key(host), d, "with", (u, v))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     target = [0] + [d] * host.n
     target[u] -= 1
     target[v] -= 1
-    reduced = host.without_edge(u, v)
-    value = _search(reduced.adj, host.n, target)[0]
-    cache.put(key, value)
-    return value
+    return _search(host.without_edge(u, v).adj, host.n, target)[0]
 
 
-def count_extensions(f: SimpleGraph, d: int, cache: OracleCache = None) -> int:
+def count_extensions(f: SimpleGraph, d: int) -> int:
     """Exact number of d-regular graphs on {1..n} containing f.
 
     Searched directly over completions (subgraphs of the complement meeting the
     residual degree vector); does not delegate to the complement-count dual.
     """
     _check_capacity(f.n)
-    cache = DEFAULT_CACHE if cache is None else cache
-    key = (canonical_key(f), d, "ext")
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     target = [0] + [d - f.degree(v) for v in f.vertices()]
-    value = _search(complement(f).adj, f.n, target)[0]
-    cache.put(key, value)
-    return value
+    return _search(complement(f).adj, f.n, target)[0]
 
 
-def count_extensions_with_edge(f: SimpleGraph, d: int, e, cache: OracleCache = None) -> int:
+def count_extensions_with_edge(f: SimpleGraph, d: int, e) -> int:
     """Exact |{K d-regular : f + e inside K}| for a non-edge e of f."""
     u, v = canonical_pair(*e)
     if f.has_edge(u, v):
         raise ValueError(f"edge {u}-{v} already in the partial graph")
-    return count_extensions(f.with_edge(u, v), d, cache=cache)
+    return count_extensions(f.with_edge(u, v), d)
 
 
 # -- enumeration ---------------------------------------------------------------

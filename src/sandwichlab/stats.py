@@ -90,6 +90,9 @@ def path_polynomial_stats(k_graph: SimpleGraph, p, x: int, y: int, k: int,
     if k < 1 or k > 4:
         raise CapacityError("path polynomial order limited to k <= 4")
     n = k_graph.n
+    for v in (x, y, *z):
+        if not 1 <= v <= n:
+            raise ValueError(f"vertex {v} outside 1..{n}")
     if x == y:
         raise ValueError("endpoints must be distinct")
     zmask = vertex_mask(z)

@@ -87,6 +87,13 @@ def _check_vertex(g, v):
         raise ValueError(f"vertex {v} outside 1..{g.n}")
 
 
+def _checked_pair(g, e) -> tuple:
+    """canonical_pair(*e) once both endpoints are known to lie in 1..n."""
+    for v in e:
+        _check_vertex(g, v)
+    return canonical_pair(*e)
+
+
 def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
                       y: int = None, avoid=(), start_in_k: bool = False) -> int:
     """Exact count of simple paths of `length` edges alternating (F\\K, K).
@@ -294,6 +301,8 @@ def six_cycle_statistic(k: SimpleGraph, wprime, mode: str) -> int:
     two-in: edge count inside the set; one-in: sum over outside vertices of
     max(degree into the set - 1, 0).
     """
+    for v in wprime:
+        _check_vertex(k, v)
     wmask = vertex_mask(wprime)
     if mode == "two-in":
         return edges_inside(k, wprime)
@@ -502,7 +511,7 @@ def _bipartite_from_switches(kind, left_graphs, forward, reverse, meta=None):
 
 def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the K_d(F) members with and without e."""
-    u, v = canonical_pair(*e)
+    u, v = _checked_pair(f, e)
     left = [k for k in enumerate_regular(f, d) if k.has_edge(u, v)]
     return _bipartite_from_switches(
         "le",
@@ -515,8 +524,8 @@ def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
 
 def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the e-but-not-f and f-but-not-e classes."""
-    u1, u2 = canonical_pair(*e)
-    v1, v2 = canonical_pair(*f_edge)
+    u1, u2 = _checked_pair(f, e)
+    v1, v2 = _checked_pair(f, f_edge)
     left = [k for k in enumerate_regular(f, d)
             if k.has_edge(u1, u2) and not k.has_edge(v1, v2)]
     return _bipartite_from_switches(
@@ -547,8 +556,8 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
 
 def build_ten_cycle_graph(f: SimpleGraph, d: int, e, f_edge) -> SwitchingGraph:
     """Full auxiliary graph between the extension classes of F+e and F+f."""
-    u1, u2 = canonical_pair(*e)
-    v1, v2 = canonical_pair(*f_edge)
+    u1, u2 = _checked_pair(f, e)
+    v1, v2 = _checked_pair(f, f_edge)
     left = [k for k in enumerate_extensions(f.with_edge(u1, u2), d)
             if not k.has_edge(v1, v2)]
     return _bipartite_from_switches(

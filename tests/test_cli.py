@@ -2,6 +2,8 @@ import copy
 import json
 import time
 
+import pytest
+
 from sandwichlab.cli import (
     ExperimentConfig,
     emit_plot_data,
@@ -150,6 +152,13 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out = _run(["--config", str(cfg), "count"], capsys)
     assert code == 0
     assert json.loads(out)["results"]["count"] == "12"
+    code, out = _run([f"--config={cfg}", "count"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == "12"
+    # an abbreviation would parse and then be ignored, so it is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["--conf", str(cfg), "count"])
+    assert exc.value.code == 2
 
 
 def test_explicit_flags_beat_config_file(tmp_path, capsys):
@@ -184,8 +193,23 @@ def test_out_file(tmp_path):
     assert report["results"]["marginal_check"] == "exact"
 
 
-def test_usage_error_exit_code():
+C6 = "n=6;edges=1-2,2-3,3-4,4-5,5-6,1-6"
+
+
+def test_usage_error_exit_code(capsys):
     assert main(["count", "--host", "garbage", "--d", "2"]) == 2
+    # vertices outside 1..n are usage errors, not crashes or empty checks
+    for extra in (["--kind", "le", "--e", "7-8"],
+                  ["--kind", "le", "--e", "1-9"],
+                  ["--kind", "lef", "--e", "1-2", "--f-edge", "7-9"],
+                  ["--kind", "ten", "--e", "1-2", "--f-edge", "4-9"],
+                  ["--kind", "six-two", "--wprime", "1,9"],
+                  ["--kind", "six-one", "--wprime", "0,1"]):
+        assert main(["switchings", "--host", C6, "--d", "2", *extra]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert main(["kimvu", "--n", "8", "--d", "3", "--m", "6",
+                 "--x", "1", "--y", "99"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_capacity_error_exit_code(capsys):

@@ -135,6 +135,14 @@ def test_canonical_key_identity():
             assert canonical_key(g) != canonical_key(g.with_edge(*e))
 
 
+def test_edge_mask_round_trips_through_graph_from_mask():
+    """Bit i of edge_mask is the i-th pair of pair_list, the layout
+    graph_from_mask reads."""
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            assert graph_from_mask(n, mask).edge_mask() == mask
+
+
 def _relabeled(g, perm):
     """g with each vertex v renamed perm[v]."""
     return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sandwichlab.coupling import ModelParams, closed_form_law
 from sandwichlab.graphs import (
     SimpleGraph,
     canonical_key,
@@ -15,6 +16,7 @@ from sandwichlab.graphs import (
     graph_from_mask,
 )
 from sandwichlab.oracle import (
+    DEFAULT_CACHE,
     CapacityError,
     OracleCache,
     count_extensions,
@@ -201,10 +203,10 @@ def test_engine_matches_brute_force_subsets(host_d):
     regular = sorted((SimpleGraph(n, s) for s in spanning), key=canonical_key)
     extended = sorted((SimpleGraph(n, host.edges() + list(s)) for s in extra),
                       key=canonical_key)
-    assert count_regular_spanning_subgraphs(host, d, cache=OracleCache()) == len(spanning)
-    assert count_extensions(host, d, cache=OracleCache()) == len(extra)
+    assert count_regular_spanning_subgraphs(host, d) == len(spanning)
+    assert count_extensions(host, d) == len(extra)
     for e in host.edges():
-        assert count_with_edge(host, d, e, cache=OracleCache()) == \
+        assert count_with_edge(host, d, e) == \
             sum(e in s for s in spanning)
     assert spanning_profile(host, d, cache=OracleCache()) == _enumerated_tally(regular)
     assert extension_profile(host, d, cache=OracleCache()) == \
@@ -243,13 +245,29 @@ def test_profile_hit_on_relabeled_host_equals_cold_query(case):
 def test_cache_hits_and_bound():
     cache = OracleCache(maxsize=4)
     g = complete_graph(5)
-    count_regular_spanning_subgraphs(g, 2, cache=cache)
+    spanning_profile(g, 2, cache=cache)
     assert cache.misses == 1 and cache.hits == 0
-    count_regular_spanning_subgraphs(g, 2, cache=cache)
+    spanning_profile(g, 2, cache=cache)
     assert cache.hits == 1
     for d in (0, 1, 2, 3, 4):
-        count_regular_spanning_subgraphs(complete_graph(6), d, cache=cache)
+        spanning_profile(complete_graph(6), d, cache=cache)
     assert len(cache) <= 4
+
+
+def test_counts_bypass_the_cache():
+    """Only edge profiles are cached: counts and the closed-form laws built
+    from them neither read nor fill DEFAULT_CACHE."""
+    state = lambda: (len(DEFAULT_CACHE), DEFAULT_CACHE.hits, DEFAULT_CACHE.misses)
+    before = state()
+    params = ModelParams(n=5, d=2)
+    for direction in ("delete", "add"):
+        closed_form_law(params, 2, direction)
+    host = cycle_graph(5)
+    count_regular_spanning_subgraphs(host, 2)
+    count_with_edge(host, 2, (1, 2))
+    count_extensions(host.without_edge(1, 2), 2)
+    count_extensions_with_edge(host.without_edge(1, 2), 2, (1, 2))
+    assert state() == before
 
 
 def test_capacity_error():

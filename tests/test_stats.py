@@ -82,6 +82,13 @@ def test_path_polynomial_p_zero_and_one():
     assert one.e_y == direct
 
 
+def test_path_polynomial_rejects_vertices_outside_range():
+    k = random_regular_graph(8, 3, random.Random(63))
+    for x, y, z in ((1, 99, ()), (0, 2, ()), (9, 2, ()), (1, 2, (3, 9)), (1, 2, (-1,))):
+        with pytest.raises(ValueError, match="outside"):
+            path_polynomial_stats(k, Fraction(1, 2), x, y, 2, z=z)
+
+
 def test_path_polynomial_cross_check_many_instances():
     rng = random.Random(61)
     for _ in range(25):
