@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,12 +73,11 @@ class ExperimentConfig:
     trials: int = 100
     jobs: int = 1
     out: str = None
-    fmt: str = "json"
+    format: str = "json"
 
     def as_dict(self) -> dict:
-        return {"command": self.command, "options": self.options,
-                "seed": self.seed, "trials": self.trials, "jobs": self.jobs,
-                "format": self.fmt}
+        # where the report is written is not part of what it reproduces
+        return {k: v for k, v in vars(self).items() if k != "out"}
 
 
 def _parse_edge(text: str) -> tuple:
@@ -89,10 +89,13 @@ def _parse_vertices(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",")) if text else ()
 
 
+# the model options: each is a flag of its field's type and a sweepable param
+_MODEL_TYPES = typing.get_type_hints(ModelParams)
+
+
 def _params_from(options: dict) -> ModelParams:
-    keys = ("n", "d", "m", "eps", "eta", "c0", "mu", "tau_floor", "exact_ceiling")
-    kwargs = {k: options[k] for k in keys if options.get(k) is not None}
-    return ModelParams(**kwargs)
+    return ModelParams(**{k: options[k] for k in _MODEL_TYPES
+                          if options.get(k) is not None})
 
 
 # -- per-trial workers (top level so process pools can import them) --------------
@@ -153,30 +156,26 @@ def _cmd_switchings(config):
     opts = config.options
     kind = opts["kind"]
     d = opts["d"]
-    if kind in ("le", "lef", "ten"):
-        host = parse_graph_literal(opts["host"])
-        e = _parse_edge(opts["e"])
-        if kind == "le":
-            graph = build_le_graph(host, d, e, opts.get("ell", 1))
-        elif kind == "lef":
-            graph = build_lef_graph(host, d, e, _parse_edge(opts["f_edge"]),
-                                    opts.get("ell", 1))
-        else:
-            graph = build_ten_cycle_graph(host, d, e, _parse_edge(opts["f_edge"]))
+    host = parse_graph_literal(opts["host"])
+    statistic = None
+    if kind == "le":
+        graph = build_le_graph(host, d, _parse_edge(opts["e"]), opts.get("ell", 1))
+    elif kind == "lef":
+        graph = build_lef_graph(host, d, _parse_edge(opts["e"]),
+                                _parse_edge(opts["f_edge"]), opts.get("ell", 1))
+    elif kind == "ten":
+        graph = build_ten_cycle_graph(host, d, _parse_edge(opts["e"]),
+                                      _parse_edge(opts["f_edge"]))
     elif kind in ("six-two", "six-one"):
-        host = parse_graph_literal(opts["host"])
         mode = "two-in" if kind == "six-two" else "one-in"
         wprime = _parse_vertices(opts["wprime"])
-        stat = six_cycle_statistic(host, wprime, mode)
+        statistic = six_cycle_statistic(host, wprime, mode)
         graph = build_six_cycle_graph(d, wprime, mode, [host])
-        report = verify_double_count(graph)
-        report["statistic"] = stat
-        row = {k: report[k] for k in ("kind", "edges", "left_sum", "right_sum",
-                                      "passed")}
-        return {"double_count": report, "rows": [row], "columns": list(row)}, report["passed"]
     else:
         raise ValueError(f"unknown switching kind {kind!r}")
     report = verify_double_count(graph)
+    if statistic is not None:
+        report["statistic"] = statistic
     row = {k: report[k] for k in ("kind", "edges", "left_sum", "right_sum", "passed")}
     return {"double_count": report, "rows": [row], "columns": list(row)}, report["passed"]
 
@@ -342,15 +341,11 @@ def _cmd_verify_marginals(config):
     return results, ok
 
 
-# swept options that ranges and counts consume; every other swept value is a float
-_INT_OPTIONS = ("n", "d", "m", "exact_ceiling")
-
-
 def _cmd_sweep(config):
     opts = config.options
     inner_command = opts["command"]
     param = opts["param"]
-    cast = int if param in _INT_OPTIONS else float
+    cast = _MODEL_TYPES.get(param, float)
     values = [cast(v) for v in opts["values"].split(",")]
     rows = []
     sub_reports = []
@@ -433,48 +428,37 @@ def _csv_cell(value):
 
 # -- argument parsing ---------------------------------------------------------------
 
-# config file keys are dests, except these two, which a file names as reports
-# do ("command" is the subcommand's own dest)
-_FILE_KEY_DESTS = {"command": "inner_command", "format": "fmt"}
-
-
 def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
-    """The CLI parser; file_values (a --config file's options) replace the
-    parser defaults of every subcommand, so explicit flags still win."""
-    # no abbreviations: _file_defaults reads --config before argparse runs,
+    """The CLI parser; file_values (a --config file's options, keyed by dest)
+    replace the parser defaults of every subcommand, so explicit flags still
+    win."""
+    # no abbreviations: _read_config reads --config before this parser runs,
     # so an abbreviated --conf would parse and then be ignored
     parser = argparse.ArgumentParser(
         prog="sandwichlab", allow_abbrev=False,
         description="Desk-scale laboratory for sandwich couplings of random "
                     "regular graphs.")
     parser.add_argument("--config", help="JSON file with default options")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, model=True, default_fmt="json"):
+    def common(p, model=True, default_format="json"):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "plain"),
-                       default=default_fmt)
+        p.add_argument("--format", choices=("json", "csv", "plain"),
+                       default=default_format)
         if model:
-            p.add_argument("--n", type=int)
-            p.add_argument("--d", type=int)
-            p.add_argument("--m", type=int)
-            p.add_argument("--eps", type=float)
-            p.add_argument("--eta", type=float)
-            p.add_argument("--c0", type=float)
-            p.add_argument("--mu", type=float)
-            p.add_argument("--tau-floor", dest="tau_floor", type=float)
-            p.add_argument("--exact-ceiling", dest="exact_ceiling", type=int)
+            for name, kind in _MODEL_TYPES.items():
+                p.add_argument("--" + name.replace("_", "-"), type=kind)
 
     p = sub.add_parser("count", help="exact regular-subgraph count of a host")
-    common(p, model=False, default_fmt="plain")
+    common(p, model=False, default_format="plain")
     p.add_argument("--host", help="graph literal")
     p.add_argument("--d", type=int)
 
     p = sub.add_parser("paths", help="exact alternating-path count")
-    common(p, model=False, default_fmt="plain")
+    common(p, model=False, default_format="plain")
     p.add_argument("--f", help="graph literal")
     p.add_argument("--k", help="graph literal")
     p.add_argument("--x", type=int)
@@ -531,50 +515,41 @@ def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="repeat a subcommand over parameter values")
     common(p)
-    p.add_argument("--command", dest="inner_command")
+    p.add_argument("--command")
     p.add_argument("--param")
     p.add_argument("--values")
     if file_values:
-        values = {_FILE_KEY_DESTS.get(k, k): v for k, v in file_values.items()}
         for p in sub.choices.values():
-            p.set_defaults(**values)
+            p.set_defaults(**file_values)
     return parser
 
 
-_NON_OPTION_KEYS = {"command", "config", "seed", "trials", "jobs", "out", "fmt"}
+# the parsed values that ExperimentConfig holds as fields, not as options
+_RUN_FIELDS = ("seed", "trials", "jobs", "out", "format")
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    options = {k: v for k, v in vars(args).items()
-               if k not in _NON_OPTION_KEYS and v is not None}
-    if "inner_command" in options:
-        options["command"] = options.pop("inner_command")
-    return ExperimentConfig(command=args.command, options=options, seed=args.seed,
-                            trials=args.trials, jobs=args.jobs, out=args.out,
-                            fmt=args.fmt)
+    values = dict(vars(args))
+    command = values.pop("subcommand")
+    del values["config"]
+    run = {k: values.pop(k) for k in _RUN_FIELDS}
+    options = {k: v for k, v in values.items() if v is not None}
+    return ExperimentConfig(command, options, **run)
 
 
-def _file_defaults(argv: list) -> dict:
-    """Remove `--config PATH` or `--config=PATH` from argv and return the
-    JSON options PATH holds."""
-    for where, token in enumerate(argv):
-        if token == "--config":
-            if where + 1 == len(argv):
-                raise ValueError("--config needs a file path")
-            config_path = argv[where + 1]
-            del argv[where:where + 2]
-            break
-        if token.startswith("--config="):
-            config_path = token[len("--config="):]
-            del argv[where]
-            break
-    else:
-        return {}
-    with open(config_path) as handle:
+def _read_config(argv: list) -> tuple:
+    """(the JSON options a --config file holds, argv without --config)."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                  exit_on_error=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None:
+        return {}, rest
+    with open(known.config) as handle:
         values = json.load(handle)
     if not isinstance(values, dict):
-        raise ValueError(f"config file {config_path} does not hold a JSON object")
-    return values
+        raise ValueError(f"config file {known.config} does not hold a JSON object")
+    return values, rest
 
 
 def _check_file_values(parser, args, file_values: dict):
@@ -584,11 +559,15 @@ def _check_file_values(parser, args, file_values: dict):
     default only when it is a string, while file values reach the parser as
     defaults of any JSON type.
     """
-    dests = {_FILE_KEY_DESTS.get(k, k) for k in file_values}
+    # a subparser's defaults override the parent's values, so this key
+    # would replace the subcommand the command line named
+    if "subcommand" in file_values:
+        raise ValueError("the subcommand is named on the command line, "
+                         "not in a config file")
     commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
-    for action in commands[args.command]._actions:
+    for action in commands[args.subcommand]._actions:
         value = getattr(args, action.dest, None)
-        if action.dest not in dests or value is None:
+        if action.dest not in file_values or value is None:
             continue
         flag = action.option_strings[0]
         if action.type is not None:
@@ -605,16 +584,16 @@ def _check_file_values(parser, args, file_values: dict):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        file_defaults = _file_defaults(argv)
-    except (OSError, ValueError) as exc:
+        file_values, argv = _read_config(argv)
+    except (argparse.ArgumentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser(file_defaults)
+    parser = build_parser(file_values)
     args = parser.parse_args(argv)
     try:
-        _check_file_values(parser, args, file_defaults)
+        _check_file_values(parser, args, file_values)
         config = config_from_args(args)
         report = run_experiment(config)
     except KeyError as exc:
@@ -623,9 +602,9 @@ def main(argv=None) -> int:
     except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.fmt == "csv":
+    if config.format == "csv":
         payload = emit_plot_data(report)
-    elif config.fmt == "plain" and "count" in report["results"]:
+    elif config.format == "plain" and "count" in report["results"]:
         payload = str(report["results"]["count"]) + "\n"
     else:
         payload = json.dumps(report, indent=2, default=str) + "\n"

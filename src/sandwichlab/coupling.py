@@ -59,6 +59,8 @@ class ModelParams:
             raise ValueError("n must be positive")
         if not 0 <= self.d <= self.n - 1:
             raise ValueError("need 0 <= d <= n-1")
+        if (self.d * self.n) % 2:
+            raise ValueError("dn must be even for the coupled processes")
         if self.m is not None and self.m < 0:
             raise ValueError("m must be nonnegative")
         # a negative eta puts the lower horizon floor(dn/2 - eta*n) above
@@ -125,10 +127,6 @@ class ModelParams:
         if self.m is None:
             raise ValueError("this quantity needs the planted edge count m")
 
-    def require_even(self):
-        if (self.d * self.n) % 2:
-            raise ValueError("dn must be even for the coupled processes")
-
 
 @dataclass(frozen=True)
 class EtaSchedule:
@@ -160,7 +158,6 @@ class EtaSchedule:
 
 
 def eta_schedule(params: ModelParams) -> EtaSchedule:
-    params.require_even()
     return EtaSchedule(params.n, params.d, params.eps, params.c0, params.mu)
 
 
@@ -240,7 +237,6 @@ def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str)
     At each stage the next tape pair that is a possible move is taken when its
     variate is at most weight / max weight, compared exactly.
     """
-    params.require_even()
     n, d = params.n, params.d
     delete = direction == "delete"
     kind = "upper-deletion" if delete else "lower-addition"
@@ -310,7 +306,6 @@ def run_gstar(params: ModelParams, tape: RandomnessTape):
     with index C(n,2) - M where M is binomial(C(n,2), (1+eps)d/n) drawn from a
     dedicated substream, so e(G*) = M.
     """
-    params.require_even()
     n = params.n
     thresholds = _companion_thresholds(params)
     g = complete_graph(n)
@@ -371,7 +366,6 @@ def run_reference_sequences(params: ModelParams, tape: RandomnessTape) -> Refere
     revisits a survivor.  The gap e(G+_N) - e(H_N) counts threshold failures
     among the first N distinct edges.
     """
-    params.require_even()
     thresholds = _companion_thresholds(params)
     npairs = params.npairs
     horizon = params.n_budget
@@ -496,7 +490,6 @@ def run_gsub(params: ModelParams, tape: RandomnessTape):
     uniform M-subset of E(H_N) when it is large enough, else of all pairs,
     with M binomial(C(n,2), (1-eps)d/n) from a dedicated substream.
     """
-    params.require_even()
     n = params.n
     horizon = params.n_lower
     steps = []
@@ -604,7 +597,6 @@ def exact_kernel_step(dist: DistributionTable, d: int, direction: str) -> Distri
 
 def _last_stage(params: ModelParams, direction: str) -> int:
     """Index of the final stage of the exact analysis in the given direction."""
-    params.require_even()
     if params.n > params.exact_ceiling:
         raise CapacityError(f"n={params.n} exceeds exact-analysis ceiling "
                             f"{params.exact_ceiling}")
@@ -702,7 +694,6 @@ def uniform_regular(n: int, d: int, rng) -> SimpleGraph:
 
 def sample_f(params: ModelParams, rng):
     """Sample the planted pair (K, F) with F = K plus m uniform non-edges."""
-    params.require_even()
     params._need_m()
     if not 0 <= params.m <= params.steps_upper:
         raise ValueError(f"m={params.m} out of range for the planted supergraph model")
@@ -714,7 +705,6 @@ def sample_f(params: ModelParams, rng):
 
 def sample_fminus(params: ModelParams, rng):
     """Sample the planted pair (K, F) with F = K minus m uniform edges."""
-    params.require_even()
     params._need_m()
     if not 0 <= params.m <= params.steps_lower:
         raise ValueError(f"m={params.m} out of range for the planted subgraph model")

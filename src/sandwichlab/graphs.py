@@ -146,6 +146,19 @@ def vertex_mask(vertices) -> int:
     return mask
 
 
+def check_vertex(g: SimpleGraph, v: int):
+    """Raise ValueError unless v is a vertex of g."""
+    if not 1 <= v <= g.n:
+        raise ValueError(f"vertex {v} outside 1..{g.n}")
+
+
+def checked_pair(g: SimpleGraph, e) -> tuple:
+    """canonical_pair(*e) once both endpoints are known to lie in 1..n."""
+    for v in e:
+        check_vertex(g, v)
+    return canonical_pair(*e)
+
+
 # -- constructors ------------------------------------------------------------
 
 def empty_graph(n: int) -> SimpleGraph:

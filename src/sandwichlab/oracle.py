@@ -31,7 +31,7 @@ from .graphs import (
     SimpleGraph,
     canonical_key,
     canonical_labeling,
-    canonical_pair,
+    checked_pair,
     complement,
 )
 
@@ -45,7 +45,8 @@ class CapacityError(RuntimeError):
 class OracleCache:
     """Bounded LRU cache of edge profiles.
 
-    Keys are (n, certificate, d, kind), the host's isomorphism class; each
+    Keys are (n, certificate, d, family), the host's isomorphism class and
+    the name of the family searched ("_spanning" or "_completions"); each
     entry holds the total and the per-edge counts in canonical labels.
     """
 
@@ -198,6 +199,21 @@ def _subgraphs(adj, n: int, target):
         yield from walk(root, [])
 
 
+# -- the two families a search runs over ----------------------------------------
+
+def _spanning(host: SimpleGraph, d: int):
+    """(adj, n, target) of the search for the d-regular spanning subgraphs of host."""
+    _check_capacity(host.n)
+    return host.adj, host.n, [0] + [d] * host.n
+
+
+def _completions(f: SimpleGraph, d: int):
+    """(adj, n, target) of the search for the edge sets completing f to a
+    d-regular graph: subgraphs of the complement meeting the residual degrees."""
+    _check_capacity(f.n)
+    return complement(f).adj, f.n, [0] + [d - f.degree(v) for v in f.vertices()]
+
+
 # -- counting operations -------------------------------------------------------
 
 def count_regular_spanning_subgraphs(host: SimpleGraph, d: int) -> int:
@@ -207,20 +223,18 @@ def count_regular_spanning_subgraphs(host: SimpleGraph, d: int) -> int:
     """
     if not 0 <= d <= host.n - 1 and d != 0:
         return 0
-    _check_capacity(host.n)
-    return _search(host.adj, host.n, [0] + [d] * host.n)[0]
+    return _search(*_spanning(host, d))[0]
 
 
 def count_with_edge(host: SimpleGraph, d: int, e) -> int:
     """Exact number of d-regular spanning subgraphs of the host containing e."""
-    u, v = canonical_pair(*e)
+    u, v = checked_pair(host, e)
     if not host.has_edge(u, v):
         raise ValueError(f"edge {u}-{v} not in host")
-    _check_capacity(host.n)
-    target = [0] + [d] * host.n
+    adj, n, target = _spanning(host.without_edge(u, v), d)
     target[u] -= 1
     target[v] -= 1
-    return _search(host.without_edge(u, v).adj, host.n, target)[0]
+    return _search(adj, n, target)[0]
 
 
 def count_extensions(f: SimpleGraph, d: int) -> int:
@@ -229,14 +243,12 @@ def count_extensions(f: SimpleGraph, d: int) -> int:
     Searched directly over completions (subgraphs of the complement meeting the
     residual degree vector); does not delegate to the complement-count dual.
     """
-    _check_capacity(f.n)
-    target = [0] + [d - f.degree(v) for v in f.vertices()]
-    return _search(complement(f).adj, f.n, target)[0]
+    return _search(*_completions(f, d))[0]
 
 
 def count_extensions_with_edge(f: SimpleGraph, d: int, e) -> int:
     """Exact |{K d-regular : f + e inside K}| for a non-edge e of f."""
-    u, v = canonical_pair(*e)
+    u, v = checked_pair(f, e)
     if f.has_edge(u, v):
         raise ValueError(f"edge {u}-{v} already in the partial graph")
     return count_extensions(f.with_edge(u, v), d)
@@ -244,47 +256,42 @@ def count_extensions_with_edge(f: SimpleGraph, d: int, e) -> int:
 
 # -- enumeration ---------------------------------------------------------------
 
-def enumerate_regular(host: SimpleGraph, d: int):
-    """Yield every d-regular spanning subgraph of the host, in canonical_key order."""
-    _check_capacity(host.n)
-    found = [
-        SimpleGraph(host.n, edges)
-        for edges in _subgraphs(host.adj, host.n, [0] + [d] * host.n)
-    ]
+def _enumerate(base: list, adj, n: int, target):
+    """Every graph base + S over the subgraphs S the search finds, in
+    canonical_key order."""
+    found = [SimpleGraph(n, base + edges) for edges in _subgraphs(adj, n, target)]
     found.sort(key=canonical_key)
     yield from found
+
+
+def enumerate_regular(host: SimpleGraph, d: int):
+    """Yield every d-regular spanning subgraph of the host, in canonical_key order."""
+    yield from _enumerate([], *_spanning(host, d))
 
 
 def enumerate_extensions(f: SimpleGraph, d: int):
     """Yield every d-regular graph on {1..n} containing f, in canonical_key order."""
-    _check_capacity(f.n)
-    target = [0] + [d - f.degree(v) for v in f.vertices()]
-    base = f.edges()
-    found = [
-        SimpleGraph(f.n, base + extra)
-        for extra in _subgraphs(complement(f).adj, f.n, target)
-    ]
-    found.sort(key=canonical_key)
-    yield from found
+    yield from _enumerate(f.edges(), *_completions(f, d))
 
 
 # -- edge profiles (used by the coupling processes) ---------------------------
 
-def _profile_entry(g: SimpleGraph, d: int, kind: str, cache, compute):
-    """Profile of g from the cache entry of its isomorphism class.
+def _profile_entry(g: SimpleGraph, d: int, family, cache):
+    """Profile over the family (_spanning or _completions) of g, from the
+    cache entry of g's isomorphism class.
 
     The entry holds the per-edge counts in canonical labels.  A miss computes
     the profile on g itself and stores it relabeled; a hit maps the stored
     counts back through the inverse relabeling.  Either way the per-edge
     dict is a fresh one, sorted by edge.
     """
-    _check_capacity(g.n)
+    _check_capacity(g.n)  # before labeling g, which is slow on a graph this large
     cache = DEFAULT_CACHE if cache is None else cache
     cert, relabel = canonical_labeling(g)
-    key = (g.n, cert, d, kind)
+    key = (g.n, cert, d, family.__name__)
     hit = cache.get(key)
     if hit is None:
-        total, tally = compute()
+        total, tally = _profile(*family(g, d))
         cache.put(key, (total, {_relabel(relabel, e): c for e, c in tally.items()}))
         return total, dict(sorted(tally.items()))
     total, canonical_tally = hit
@@ -308,8 +315,7 @@ def spanning_profile(host: SimpleGraph, d: int, cache: OracleCache = None):
     forward pass over the counting DAG serve every edge, which is what the
     deletion process needs at each stage.
     """
-    return _profile_entry(host, d, "span-profile", cache,
-                          lambda: _profile(host.adj, host.n, [0] + [d] * host.n))
+    return _profile_entry(host, d, _spanning, cache)
 
 
 def extension_profile(f: SimpleGraph, d: int, cache: OracleCache = None):
@@ -318,5 +324,4 @@ def extension_profile(f: SimpleGraph, d: int, cache: OracleCache = None):
     per-missing-edge counts maps each non-edge e of f to |{K : f + e in K}|,
     in edge order; non-edges carried by no such graph are absent.
     """
-    return _profile_entry(f, d, "ext-profile", cache, lambda: _profile(
-        complement(f).adj, f.n, [0] + [d - f.degree(v) for v in f.vertices()]))
+    return _profile_entry(f, d, _completions, cache)

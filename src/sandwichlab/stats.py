@@ -17,7 +17,8 @@ from itertools import combinations
 
 from scipy import stats as _scipy_stats
 
-from .graphs import SimpleGraph, canonical_pair, complement, vertex_mask, _bits
+from .graphs import (SimpleGraph, canonical_pair, check_vertex, complement,
+                     vertex_mask, _bits)
 from .oracle import CapacityError, count_regular_spanning_subgraphs, enumerate_regular
 from .coupling import DistributionTable, EtaSchedule, ModelParams
 
@@ -91,8 +92,7 @@ def path_polynomial_stats(k_graph: SimpleGraph, p, x: int, y: int, k: int,
         raise CapacityError("path polynomial order limited to k <= 4")
     n = k_graph.n
     for v in (x, y, *z):
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} outside 1..{n}")
+        check_vertex(k_graph, v)
     if x == y:
         raise ValueError("endpoints must be distinct")
     zmask = vertex_mask(z)
@@ -163,7 +163,6 @@ def schedule_mass(params: ModelParams) -> ScheduleMass:
     eta_{i+R-1}*(dn/2)/(C(n,2)-dn/2-R-i+1); reported against the budget R/2.
     E S is computed as c0 times a c0-free base sum, so scaling in c0 is exact.
     """
-    params.require_even()
     unit = EtaSchedule(params.n, params.d, params.eps, 1.0, params.mu)
     r = unit.R
     horizon = max(0, params.n_budget)
@@ -279,7 +278,6 @@ def translation_check(params: ModelParams, predicate,
     also carries, for each threshold t, the exact probability that a random F
     has a failing-subgraph proportion exceeding t.
     """
-    params.require_even()
     params._need_m()
     if params.n > params.exact_ceiling:
         raise CapacityError(f"n={params.n} exceeds exact-analysis ceiling "

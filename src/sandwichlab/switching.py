@@ -16,6 +16,8 @@ from .graphs import (
     SimpleGraph,
     canonical_key,
     canonical_pair,
+    check_vertex,
+    checked_pair,
     complement,
     difference,
     edges_inside,
@@ -82,18 +84,6 @@ def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
     yield from rec(x, 1 << x, 1)
 
 
-def _check_vertex(g, v):
-    if not 1 <= v <= g.n:
-        raise ValueError(f"vertex {v} outside 1..{g.n}")
-
-
-def _checked_pair(g, e) -> tuple:
-    """canonical_pair(*e) once both endpoints are known to lie in 1..n."""
-    for v in e:
-        _check_vertex(g, v)
-    return canonical_pair(*e)
-
-
 def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
                       y: int = None, avoid=(), start_in_k: bool = False) -> int:
     """Exact count of simple paths of `length` edges alternating (F\\K, K).
@@ -105,10 +95,11 @@ def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
         raise ValueError("graphs must share a vertex set")
     if length < 1:
         raise ValueError("length must be positive")
-    _check_vertex(f, x)
+    for v in (x, *avoid):
+        check_vertex(f, v)
     avoid_mask = vertex_mask(avoid)
     if y is not None:
-        _check_vertex(f, y)
+        check_vertex(f, y)
         if y == x:
             raise ValueError("endpoints must be distinct")
         if avoid_mask & ((1 << x) | (1 << y)):
@@ -142,7 +133,7 @@ def weighted_endpoint_sum(f: SimpleGraph, k: SimpleGraph, v: int, i: int) -> int
         raise ValueError("i must be positive")
     if f.n != k.n:
         raise ValueError("graphs must share a vertex set")
-    _check_vertex(f, v)
+    check_vertex(f, v)
     fk = difference(f, k)
     weights = [0] * (f.n + 1)
     for u in range(1, f.n + 1):
@@ -302,7 +293,7 @@ def six_cycle_statistic(k: SimpleGraph, wprime, mode: str) -> int:
     max(degree into the set - 1, 0).
     """
     for v in wprime:
-        _check_vertex(k, v)
+        check_vertex(k, v)
     wmask = vertex_mask(wprime)
     if mode == "two-in":
         return edges_inside(k, wprime)
@@ -511,7 +502,7 @@ def _bipartite_from_switches(kind, left_graphs, forward, reverse, meta=None):
 
 def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the K_d(F) members with and without e."""
-    u, v = _checked_pair(f, e)
+    u, v = checked_pair(f, e)
     left = [k for k in enumerate_regular(f, d) if k.has_edge(u, v)]
     return _bipartite_from_switches(
         "le",
@@ -524,8 +515,8 @@ def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
 
 def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the e-but-not-f and f-but-not-e classes."""
-    u1, u2 = _checked_pair(f, e)
-    v1, v2 = _checked_pair(f, f_edge)
+    u1, u2 = checked_pair(f, e)
+    v1, v2 = checked_pair(f, f_edge)
     left = [k for k in enumerate_regular(f, d)
             if k.has_edge(u1, u2) and not k.has_edge(v1, v2)]
     return _bipartite_from_switches(
@@ -556,8 +547,8 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
 
 def build_ten_cycle_graph(f: SimpleGraph, d: int, e, f_edge) -> SwitchingGraph:
     """Full auxiliary graph between the extension classes of F+e and F+f."""
-    u1, u2 = _checked_pair(f, e)
-    v1, v2 = _checked_pair(f, f_edge)
+    u1, u2 = checked_pair(f, e)
+    v1, v2 = checked_pair(f, f_edge)
     left = [k for k in enumerate_extensions(f.with_edge(u1, u2), d)
             if not k.has_edge(v1, v2)]
     return _bipartite_from_switches(

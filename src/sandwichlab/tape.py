@@ -15,8 +15,6 @@ import random
 
 from .graphs import pair_list
 
-_CHUNK = 256
-
 
 def derive_seed(master, *labels) -> int:
     """Stable child seed from (master seed, labels...) via SHA-256."""
@@ -38,17 +36,15 @@ class RandomnessTape:
 
     def pair(self, i: int):
         """The i-th uniformly random vertex pair (1-based index)."""
+        pairs = self._pairs
         while len(self._pair_cache) < i:
-            m = len(self._pairs)
-            self._pair_cache.extend(
-                self._pairs[self._pair_rng.randrange(m)] for _ in range(_CHUNK)
-            )
+            self._pair_cache.append(pairs[self._pair_rng.randrange(len(pairs))])
         return self._pair_cache[i - 1]
 
     def x(self, i: int) -> float:
         """The i-th uniform [0,1) variate (1-based index)."""
         while len(self._x_cache) < i:
-            self._x_cache.extend(self._x_rng.random() for _ in range(_CHUNK))
+            self._x_cache.append(self._x_rng.random())
         return self._x_cache[i - 1]
 
     def rng(self, label: str) -> random.Random:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import time
 
@@ -6,10 +7,12 @@ import pytest
 
 from sandwichlab.cli import (
     ExperimentConfig,
+    build_parser,
     emit_plot_data,
     main,
     run_experiment,
 )
+from sandwichlab.coupling import ModelParams
 from sandwichlab.graphs import complete_graph, format_graph_literal
 
 K5 = format_graph_literal(complete_graph(5))
@@ -137,6 +140,23 @@ def test_sweep_over_vertex_count(capsys):
     assert [line.split(",")[n_col] for line in lines[1:]] == ["4", "6"]
 
 
+def test_model_flags_track_model_params(capsys):
+    fields = dataclasses.fields(ModelParams)
+    argv = ["couple-upper"]
+    for f in fields:
+        argv += ["--" + f.name.replace("_", "-"), "1"]
+    args = build_parser().parse_args(argv)
+    for f in fields:
+        value = getattr(args, f.name)
+        assert (type(value).__name__, value) == (f.type, 1), f.name
+    code, out = _run(["sweep", "--command", "verify-marginals", "--param",
+                      "exact_ceiling", "--values", "5,6", "--n", "5", "--d", "2",
+                      "--format", "json"], capsys)
+    assert code == 0
+    swept = [entry["exact_ceiling"] for entry in json.loads(out)["results"]["sweep"]]
+    assert swept == [5, 6] and all(type(v) is int for v in swept)
+
+
 def test_emit_plot_data_empty_report():
     report = {"results": {"rows": [], "columns": ["a", "b"]}}
     assert emit_plot_data(report) == "a,b\n"
@@ -210,6 +230,13 @@ def test_usage_error_exit_code(capsys):
     assert main(["kimvu", "--n", "8", "--d", "3", "--m", "6",
                  "--x", "1", "--y", "99"]) == 2
     assert "error:" in capsys.readouterr().err
+    for avoid in ("99", "-1"):
+        assert main(["paths", "--f", "n=4;edges=1-2", "--k", "n=4;edges=2-3",
+                     "--x", "1", "--y", "3", "--ell", "1", "--avoid", avoid]) == 2
+        assert f"error: vertex {avoid} outside 1..4" in capsys.readouterr().err
+    # odd dn is refused when the parameters are built
+    assert main(["schedule-mass", "--n", "5", "--d", "3"]) == 2
+    assert "error: dn must be even" in capsys.readouterr().err
 
 
 def test_capacity_error_exit_code(capsys):
@@ -243,6 +270,10 @@ def test_config_file_value_rejected_like_its_flag(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
     cfg.write_text(json.dumps({"n": 4, "d": 3, "eps": 1, "trials": 1}))
     assert main(["--config", str(cfg), "couple-lower"]) == 0
+    # the subcommand comes from the command line only
+    cfg.write_text(json.dumps({"host": K5, "d": 2, "subcommand": "fit"}))
+    assert main(["--config", str(cfg), "count"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_negative_eta_exit_code(capsys):

@@ -239,6 +239,11 @@ def test_zero_tau_floor_rejected():
     assert ModelParams(n=6, d=3, tau_floor=1.0).tau_floor == 1.0
 
 
+def test_odd_dn_rejected_when_built():
+    with pytest.raises(ValueError, match="dn must be even"):
+        ModelParams(n=5, d=3)
+
+
 def test_negative_eta_rejected():
     # n_lower would be 21 > C(6,2) = 15, and the lower companion would scan forever
     with pytest.raises(ValueError, match="eta"):

@@ -91,6 +91,14 @@ def test_extension_with_edge_requires_non_edge():
         count_extensions_with_edge(cycle_graph(5), 2, (1, 2))
 
 
+def test_edge_counts_reject_vertices_outside_range():
+    for e in ((7, 8), (0, 1), (1, 6)):
+        with pytest.raises(ValueError, match="outside 1..5"):
+            count_with_edge(complete_graph(5), 2, e)
+        with pytest.raises(ValueError, match="outside 1..5"):
+            count_extensions_with_edge(empty_graph(5), 2, e)
+
+
 def test_complement_duality_random():
     rng = random.Random(12)
     for _ in range(30):
