@@ -155,16 +155,23 @@ class PathQuery:
     start_in_k: bool = False
 
     def run(self) -> int:
+        """Count in `mode`; an option the mode does not read must stay unset."""
         if self.mode == "between-endpoints":
             return count_alternating_paths(self.f, self.k, self.x, self.y,
                                            self.half_length, self.avoid,
                                            self.start_in_k)
+        if self.mode not in ("from-vertex", "weighted-endpoint-sum"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        unread = {"y": self.y is not None, "avoid": bool(self.avoid),
+                  "start_in_k": (self.start_in_k
+                                 and self.mode == "weighted-endpoint-sum")}
+        for name, is_set in unread.items():
+            if is_set:
+                raise ValueError(f"{name} is not read in mode {self.mode!r}")
         if self.mode == "from-vertex":
             return count_alternating_from(self.f, self.k, self.x,
                                           self.half_length, self.start_in_k)
-        if self.mode == "weighted-endpoint-sum":
-            return weighted_endpoint_sum(self.f, self.k, self.x, self.half_length)
-        raise ValueError(f"unknown mode {self.mode!r}")
+        return weighted_endpoint_sum(self.f, self.k, self.x, self.half_length)
 
 
 # -- cycle switchings -----------------------------------------------------------
@@ -316,6 +323,13 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     statistic by exactly 1; reverse=True enumerates the mirror cycles that
     raise it by exactly 1 (the same relation seen from the other class).
     Yields (removed_edges, added_edges) with the cycle being their union.
+
+    Each cycle is met once.  In two-in mode v1 and v2 are its only W'
+    vertices and v1v2 is a `first` edge, so the walk from (v2, v1) in the
+    other direction finds the same cycle; only starts with v1 < v2 are taken.
+    In one-in mode v1 is its only W' vertex and the walk must leave it along
+    the one cycle edge at v1 that is in `first`, so the start is already
+    unique.
     """
     n = k.n
     adj = k.adj
@@ -326,13 +340,12 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     # and v2v3, v4v5, v6v1 in `second`
     if mode == "two-in":
         starts = [(v1, v2) for v1 in range(1, n + 1) if (wmask >> v1) & 1
-                  for v2 in _bits(first[v1] & wmask)]
+                  for v2 in _bits(first[v1] & wmask) if v2 > v1]
     elif mode == "one-in":
         starts = [(v1, v2) for v1 in range(1, n + 1) if (wmask >> v1) & 1
                   for v2 in _bits(first[v1] & ~wmask)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    seen = set()
     for v1, v2 in starts:
         if mode == "one-in":
             deg2 = bin(adj[v2] & wmask).count("1")
@@ -362,10 +375,6 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
                                  canonical_pair(v6, v1)]
                         if reverse:
                             removed, added = added, removed
-                        key = frozenset(removed) | frozenset(added)
-                        if key in seen:
-                            continue
-                        seen.add(key)
                         yield removed, added
 
 

@@ -2,13 +2,22 @@
 
 These deliberately avoid the library's algorithms: regular counts and
 subgraphs with a given degree vector come from filtering raw edge-subset
-combinations, and path counts from a layered meet-in-the-middle join
-instead of depth-first search.
+combinations, path counts from a layered meet-in-the-middle join instead of
+depth-first search, expansion statistics from the edge sets of `graphs`
+instead of popcounts, and six-cycle switchings from every ordered vertex
+6-tuple instead of a pruned walk.
 """
 
-from itertools import combinations
+import math
+from itertools import combinations, permutations
 
-from sandwichlab.graphs import difference
+from sandwichlab.audit import _witnessed_sets
+from sandwichlab.graphs import (
+    canonical_pair,
+    difference,
+    edges_inside,
+    multi_covered_edges,
+)
 
 
 def brute_force_regular_count(n, d, host=None):
@@ -90,3 +99,84 @@ def mitm_alternating_count(f, k, x, y, length, avoid=(), start_in_k=False):
             if used_f & used_b == {mid}:
                 total += 1
     return total
+
+
+def expansion_report(f, k, counts_k, lam, delta, d, size_cap,
+                     log_divisor=False, witness_cap=3, pool_cap=14, samples=50,
+                     rng=None):
+    """check_expansion_k (counts_k) or check_expansion_fk as an as_dict() dict.
+
+    Replays the same (U', U) pairs and recomputes the statistic for every pair
+    as len(multi_covered_edges) + edges_inside; size_cap must admit a set.
+    """
+    fk = difference(f, k)
+    logn = math.log(f.n)
+    if counts_k:
+        carrier, counted, ratio = fk, k, delta
+        factor = (lam / logn) * d if log_divisor else lam * d
+        prop = "expansion-k"
+        params = {"lam": lam, "d": d, "delta": delta,
+                  "log_divisor": log_divisor, "size_cap": size_cap}
+    else:
+        carrier, counted, ratio = k, fk, d
+        factor = (lam / logn) * delta
+        prop = "expansion-fk"
+        params = {"lam": lam, "delta": delta, "d": d, "size_cap": size_cap}
+    worst, witness, seen = float("inf"), None, 0
+    for uprime, u in _witnessed_sets(carrier.adj, f.n, witness_cap, ratio / 4,
+                                     size_cap, pool_cap, samples, rng):
+        seen += 1
+        stat = len(multi_covered_edges(counted, u)) + edges_inside(counted, u)
+        margin = factor * len(u) - stat
+        if margin < worst:
+            worst, witness = margin, (uprime, u)
+    assert seen, "no witnessed set: pick a larger size_cap"
+    return {"property": prop, "params": params, "instances": seen,
+            "passed": worst >= 0, "worst_margin": worst,
+            "witness": sorted(sorted(part) for part in witness), "notes": ""}
+
+
+def six_cycle_switch_graphs(k, wprime, mode, reverse=False):
+    """Edge rows of every graph six_cycle_switches should return, one per cycle.
+
+    Every ordered 6-tuple is tried as v1..v6 with v1v2, v3v4, v5v6 in `first`
+    (K, or the non-edges when reverse) and v2v3, v4v5, v6v1 in `second`; a
+    cycle qualifies by how it meets W' (w = v1, x = v2, z = v6):
+    two-in: exactly v1 and v2 in W';
+    one-in: exactly v1 in W', and in K, x has >= 2 (forward) or >= 1 (reverse)
+    neighbors in W' and z has 0 (forward) or <= 1 (reverse).
+    Cycles are kept once each by their edge set.
+    """
+    n = k.n
+    edge = {canonical_pair(u, v) for u, v in k.edges()}
+
+    def in_first(u, v):
+        return (canonical_pair(u, v) in edge) != reverse
+
+    def deg_in(v):
+        return sum(1 for w in wprime if canonical_pair(v, w) in edge)
+
+    cycles = {}
+    for cyc in permutations(range(1, n + 1), 6):
+        pairs = [canonical_pair(cyc[i], cyc[(i + 1) % 6]) for i in range(6)]
+        if not all(in_first(*pairs[i]) == (i % 2 == 0) for i in range(6)):
+            continue
+        inside = [v in wprime for v in cyc]
+        if mode == "two-in":
+            ok = inside == [True, True, False, False, False, False]
+        elif reverse:
+            ok = (inside == [True] + [False] * 5 and deg_in(cyc[1]) >= 1
+                  and deg_in(cyc[5]) <= 1)
+        else:
+            ok = (inside == [True] + [False] * 5 and deg_in(cyc[1]) >= 2
+                  and deg_in(cyc[5]) == 0)
+        if ok:
+            cycles.setdefault(frozenset(pairs), pairs)
+    out = []
+    for pairs in cycles.values():
+        rows = list(k.adj)
+        for u, v in pairs:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        out.append(tuple(rows))
+    return out

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandwichlab.audit import (
+    _expansion_statistic,
     check_connection,
     check_degree_band,
     check_expansion_fk,
@@ -23,11 +26,15 @@ from sandwichlab.graphs import (
     edges_between,
     empty_graph,
     gnp_graph,
+    graph_from_mask,
     multi_covered_edges,
     edges_inside,
     random_regular_graph,
     union,
+    vertex_mask,
 )
+
+from _reference import expansion_report
 
 
 def _planted_pair(seed, n=12, d=4, m=24):
@@ -130,6 +137,50 @@ def test_expansion_witness_reevaluates():
         stat = len(multi_covered_edges(fk, u)) + edges_inside(fk, u)
         expected = (0.8 / math.log(f.n)) * delta * len(u) - stat
         assert fk_report.worst_margin == pytest.approx(expected)
+
+
+@st.composite
+def _graph_and_set(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    return graph_from_mask(n, mask), draw(st.sets(st.integers(1, n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g_u=_graph_and_set())
+def test_expansion_statistic_matches_edge_sets(g_u):
+    g, drawn = g_u
+    for u in (drawn, set(), set(g.vertices())):
+        expected = len(multi_covered_edges(g, u)) + edges_inside(g, u)
+        assert _expansion_statistic(g, vertex_mask(u)) == expected
+
+
+@pytest.mark.parametrize("n, d, m, size_cap, witness_cap, pool_cap", [
+    (10, 3, 12, 4, 3, 14),
+    (12, 4, 24, 3, 3, 14),
+    (14, 3, 21, 3, 2, 14),
+    (12, 4, 24, 4, 3, 5),
+    (14, 3, 21, 5, 3, 6),
+])
+def test_expansion_reports_match_per_pair_reference(n, d, m, size_cap,
+                                                    witness_cap, pool_cap):
+    for seed in range(2):
+        k, f, delta = _planted_pair(60 + seed, n=n, d=d, m=m)
+        for lam in (0.8, 4.0):
+            kw = dict(size_cap=size_cap, witness_cap=witness_cap,
+                      pool_cap=pool_cap, samples=20)
+            got = check_expansion_k(f, k, lam=lam, d=d, delta=delta,
+                                    log_divisor=bool(seed),
+                                    rng=random.Random(seed), **kw)
+            want = expansion_report(f, k, True, lam, delta, d,
+                                    log_divisor=bool(seed),
+                                    rng=random.Random(seed), **kw)
+            assert got.as_dict() == want
+            got = check_expansion_fk(f, k, lam=lam, delta=delta, d=d,
+                                     rng=random.Random(seed), **kw)
+            want = expansion_report(f, k, False, lam, delta, d,
+                                    rng=random.Random(seed), **kw)
+            assert got.as_dict() == want
 
 
 def test_local_density_trivia():

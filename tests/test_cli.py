@@ -234,6 +234,20 @@ def test_usage_error_exit_code(capsys):
         assert main(["paths", "--f", "n=4;edges=1-2", "--k", "n=4;edges=2-3",
                      "--x", "1", "--y", "3", "--ell", "1", "--avoid", avoid]) == 2
         assert f"error: vertex {avoid} outside 1..4" in capsys.readouterr().err
+    # a flag the chosen mode does not read is refused, not dropped
+    for mode, extra, name in (("from-vertex", ["--y", "3"], "y"),
+                              ("from-vertex", ["--avoid", "2"], "avoid"),
+                              ("weighted-endpoint-sum", ["--y", "3"], "y"),
+                              ("weighted-endpoint-sum", ["--avoid", "2"], "avoid"),
+                              ("weighted-endpoint-sum", ["--start-in-k"],
+                               "start_in_k")):
+        assert main(["paths", "--f", "n=4;edges=1-2", "--k", "n=4;edges=2-3",
+                     "--x", "1", "--ell", "1", "--mode", mode, *extra]) == 2
+        assert f"error: {name} is not read in mode '{mode}'" in capsys.readouterr().err
+    assert main(["paths", "--f", "n=4;edges=1-2", "--k", "n=4;edges=2-3",
+                 "--x", "1", "--ell", "1", "--mode", "from-vertex",
+                 "--start-in-k"]) == 0
+    capsys.readouterr()
     # odd dn is refused when the parameters are built
     assert main(["schedule-mass", "--n", "5", "--d", "3"]) == 2
     assert "error: dn must be even" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,7 @@ from sandwichlab.switching import (
     weighted_endpoint_sum,
 )
 
-from _reference import mitm_alternating_count
+from _reference import mitm_alternating_count, six_cycle_switch_graphs
 
 
 def test_forced_single_path():
@@ -214,6 +215,19 @@ def test_six_cycle_switches_move_statistic_by_one():
             for kp in six_cycle_switches(k, w, mode, reverse=True):
                 assert is_regular(kp, 3)
                 assert six_cycle_statistic(kp, w, mode) == base + 1
+
+
+def test_six_cycle_switches_match_tuple_enumeration():
+    rng = random.Random(34)
+    members = list(enumerate_regular(complete_graph(8), 3))
+    for k in rng.sample(members, 12):
+        w = set(rng.sample(range(1, 9), rng.randint(2, 4)))
+        for mode in ("two-in", "one-in"):
+            for reverse in (False, True):
+                got = Counter(tuple(kp.adj) for kp in
+                              six_cycle_switches(k, w, mode, reverse=reverse))
+                want = six_cycle_switch_graphs(k, w, mode, reverse=reverse)
+                assert got == Counter(want)
 
 
 def test_six_cycle_double_count_full_class_n6():
