@@ -264,6 +264,33 @@ def canonical_key(g: SimpleGraph):
     return (g.n, g.edge_mask())
 
 
+def toggle(g: SimpleGraph, cycle) -> SimpleGraph:
+    """g with each pair of the closed vertex sequence flipped between edge and
+    non-edge: cycle[i]cycle[i+1], and cycle[-1]cycle[0] closing it."""
+    rows = list(g.adj)
+    prev = cycle[-1]
+    for v in cycle:
+        rows[prev] ^= 1 << v
+        rows[v] ^= 1 << prev
+        prev = v
+    return SimpleGraph._from_rows(g.n, rows)
+
+
+def toggled_key(key, cycle):
+    """canonical_key(toggle(g, cycle)) from key == canonical_key(g).
+
+    In edge_mask's layout the pair (u, w), u < w, is bit
+    (u - 1)(2n - u)/2 + w - u - 1: the rows before u hold that many pairs.
+    """
+    n, mask = key
+    prev = cycle[-1]
+    for v in cycle:
+        u, w = (prev, v) if prev < v else (v, prev)
+        mask ^= 1 << ((u - 1) * (2 * n - u) // 2 + w - u - 1)
+        prev = v
+    return (n, mask)
+
+
 def _twins(adj, u: int, v: int) -> bool:
     """N(u) - v == N(v) - u: the transposition (u v) is an automorphism."""
     return not (adj[u] ^ adj[v]) & ~((1 << u) | (1 << v))

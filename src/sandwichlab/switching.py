@@ -2,10 +2,13 @@
 
 A path here is always simple and alternates between two edge sets; lengths
 count edges.  Between-endpoint counts treat paths as undirected with a
-designated start, so each path is counted exactly once.  Switchings replace
-the kept edges of an alternating cycle by its absent edges, carrying one
-regular graph to another; the auxiliary bipartite graphs record every valid
-switching between two families so their edges can be double-counted exactly.
+designated start, so each path is counted exactly once.  A switching is an
+alternating cycle: a closed vertex sequence whose pairs alternate between
+edges of K and non-edges.  Applying it flips every pair (graphs.toggle),
+carrying one regular graph to another, and graphs.toggled_key keys the
+result without building it.  The auxiliary bipartite graphs record every
+valid switching between two families so their edges can be double-counted
+exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .graphs import (
     complement,
     difference,
     edges_inside,
+    toggle,
+    toggled_key,
     vertex_mask,
     _bits,
 )
@@ -176,47 +181,22 @@ class PathQuery:
 
 # -- cycle switchings -----------------------------------------------------------
 
-def _apply_switch(k: SimpleGraph, removed, added) -> SimpleGraph:
-    rows = list(k.adj)
-    for u, v in removed:
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    for u, v in added:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return SimpleGraph._from_rows(k.n, rows)
-
-
-def _path_edges(path):
-    return [canonical_pair(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
-def _two_path_switches(k: SimpleGraph, odd_rows, even_rows, e, f_edge,
-                       length: int) -> list:
-    """K' = K - e + f_edge switched along two vertex-disjoint alternating paths.
+def _two_path_cycles(odd_rows, even_rows, e, f_edge, length: int):
+    """Switching cycles through e and f_edge made of two vertex-disjoint paths.
 
     Each path has `length` edges alternating odd_rows (added to K) and
     even_rows (removed from K), one from each endpoint of e to an endpoint of
-    f_edge; both endpoint pairings are admitted.
+    f_edge; both endpoint pairings are admitted.  The cycle runs out along
+    the first path, across f_edge, back along the second and across e.
     """
     u1, u2 = e
     v1, v2 = f_edge
-    out = []
     for w1, w2 in ((v1, v2), (v2, v1)):
         avoid1 = (1 << u2) | (1 << w2)
         for p1 in _alt_paths(odd_rows, even_rows, u1, length, w1, avoid1):
-            block = 0
-            for t in p1:
-                block |= 1 << t
-            if (block >> u2) & 1 or (block >> w2) & 1:
-                continue
-            for p2 in _alt_paths(odd_rows, even_rows, u2, length, w2, block):
-                edges1 = _path_edges(p1)
-                edges2 = _path_edges(p2)
-                added = edges1[0::2] + edges2[0::2] + [f_edge]
-                removed = edges1[1::2] + edges2[1::2] + [e]
-                out.append(_apply_switch(k, removed, added))
-    return out
+            for p2 in _alt_paths(odd_rows, even_rows, u2, length, w2,
+                                 vertex_mask(p1)):
+                yield p1 + p2[::-1]
 
 
 def switch_neighbors_le(f: SimpleGraph, d: int, k: SimpleGraph, e, ell: int) -> list:
@@ -234,13 +214,7 @@ def switch_neighbors_le(f: SimpleGraph, d: int, k: SimpleGraph, e, ell: int) -> 
     if ell < 1:
         raise ValueError("ell must be positive")
     fk = difference(f, k)
-    out = []
-    for path in _alt_paths(fk.adj, k.adj, u, 2 * ell + 1, v, 0):
-        edges = _path_edges(path)
-        added = edges[0::2]
-        removed = edges[1::2] + [(u, v)]
-        out.append(_apply_switch(k, removed, added))
-    return out
+    return [toggle(k, c) for c in _alt_paths(fk.adj, k.adj, u, 2 * ell + 1, v, 0)]
 
 
 def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
@@ -255,13 +229,7 @@ def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
     if ell < 1:
         raise ValueError("ell must be positive")
     fk = difference(f, k)
-    out = []
-    for path in _alt_paths(k.adj, fk.adj, u, 2 * ell + 1, v, 0):
-        edges = _path_edges(path)
-        removed = edges[0::2]
-        added = edges[1::2] + [(u, v)]
-        out.append(_apply_switch(k, removed, added))
-    return out
+    return [toggle(k, c) for c in _alt_paths(k.adj, fk.adj, u, 2 * ell + 1, v, 0)]
 
 
 def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
@@ -288,7 +256,8 @@ def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
     if ell < 1:
         raise ValueError("ell must be positive")
     fk = difference(f, k)
-    return _two_path_switches(k, fk.adj, k.adj, (u1, u2), (v1, v2), 2 * ell + 2)
+    return [toggle(k, c) for c in _two_path_cycles(
+        fk.adj, k.adj, (u1, u2), (v1, v2), 2 * ell + 2)]
 
 
 # -- six-cycle switchings ---------------------------------------------------------
@@ -305,24 +274,19 @@ def six_cycle_statistic(k: SimpleGraph, wprime, mode: str) -> int:
     if mode == "two-in":
         return edges_inside(k, wprime)
     if mode == "one-in":
-        total = 0
-        for v in range(1, k.n + 1):
-            if (wmask >> v) & 1:
-                continue
-            deg_in = bin(k.adj[v] & wmask).count("1")
-            if deg_in > 1:
-                total += deg_in - 1
-        return total
+        return sum(max(bin(k.adj[v] & wmask).count("1") - 1, 0)
+                   for v in range(1, k.n + 1) if not (wmask >> v) & 1)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
-    """Alternating 6-cycles realizing a unit move of the tracked statistic.
+    """Alternating 6-cycles (v1, ..., v6) realizing a unit move of the statistic.
 
-    Forward cycles remove three K-edges and add three non-edges, lowering the
-    statistic by exactly 1; reverse=True enumerates the mirror cycles that
+    v1v2, v3v4 and v5v6 are in `first` and v2v3, v4v5 and v6v1 in `second`.
+    Forward cycles take `first` from K, so flipping them removes three
+    K-edges, adds three non-edges and lowers the statistic by exactly 1;
+    reverse=True takes `first` from the non-edges, the mirror cycles that
     raise it by exactly 1 (the same relation seen from the other class).
-    Yields (removed_edges, added_edges) with the cycle being their union.
 
     Each cycle is met once.  In two-in mode v1 and v2 are its only W'
     vertices and v1v2 is a `first` edge, so the walk from (v2, v1) in the
@@ -336,8 +300,8 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     full = (1 << (n + 1)) - 2
     non = [0] + [(full & ~adj[v]) & ~(1 << v) for v in range(1, n + 1)]
     first, second = (adj, non) if not reverse else (non, adj)
-    # cycle v1-v2-v3-v4-v5-v6 with edges v1v2, v3v4, v5v6 in `first`
-    # and v2v3, v4v5, v6v1 in `second`
+    # one-in bounds on the W'-degrees of v2 (at least) and v6 (at most)
+    min2, max6 = (1, 1) if reverse else (2, 0)
     if mode == "two-in":
         starts = [(v1, v2) for v1 in range(1, n + 1) if (wmask >> v1) & 1
                   for v2 in _bits(first[v1] & wmask) if v2 > v1]
@@ -347,12 +311,8 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for v1, v2 in starts:
-        if mode == "one-in":
-            deg2 = bin(adj[v2] & wmask).count("1")
-            if not reverse and deg2 < 2:
-                continue
-            if reverse and deg2 < 1:
-                continue
+        if mode == "one-in" and bin(adj[v2] & wmask).count("1") < min2:
+            continue
         used12 = (1 << v1) | (1 << v2)
         for v3 in _bits(second[v2] & ~wmask & ~used12):
             used3 = used12 | (1 << v3)
@@ -363,27 +323,17 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
                     for v6 in _bits(first[v5] & ~wmask & ~used5):
                         if not (second[v6] >> v1) & 1:
                             continue
-                        if mode == "one-in":
-                            deg6 = bin(adj[v6] & wmask).count("1")
-                            if not reverse and deg6 != 0:
-                                continue
-                            if reverse and deg6 > 1:
-                                continue
-                        removed = [canonical_pair(v1, v2), canonical_pair(v3, v4),
-                                   canonical_pair(v5, v6)]
-                        added = [canonical_pair(v2, v3), canonical_pair(v4, v5),
-                                 canonical_pair(v6, v1)]
-                        if reverse:
-                            removed, added = added, removed
-                        yield removed, added
+                        if (mode == "one-in"
+                                and bin(adj[v6] & wmask).count("1") > max6):
+                            continue
+                        yield (v1, v2, v3, v4, v5, v6)
 
 
 def six_cycle_switches(k: SimpleGraph, wprime, mode: str,
                        reverse: bool = False) -> list:
     """Apply every qualifying six-cycle switching; returns the switched graphs."""
     wmask = vertex_mask(wprime)
-    return [_apply_switch(k, removed, added)
-            for removed, added in _six_cycles(k, wmask, mode, reverse)]
+    return [toggle(k, c) for c in _six_cycles(k, wmask, mode, reverse)]
 
 
 def six_cycle_degree(k: SimpleGraph, wprime, mode: str) -> int:
@@ -394,14 +344,8 @@ def six_cycle_degree(k: SimpleGraph, wprime, mode: str) -> int:
 
 # -- ten-cycle switchings ----------------------------------------------------------
 
-def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> list:
-    """All K' containing F+f but not e whose symmetric difference with K is a
-    10-cycle carrying e and f on opposite sides.
-
-    The cycle minus {e, f} is two vertex-disjoint length-4 paths alternating
-    (complement of K, K\\F), one from each endpoint of e to an endpoint of f;
-    both endpoint pairings are admitted.
-    """
+def _ten_cycles(f: SimpleGraph, k: SimpleGraph, e, f_edge):
+    """Check the arguments of ten_cycle_switches; return its cycles' iterator."""
     x1, x2 = canonical_pair(*e)
     y1, y2 = canonical_pair(*f_edge)
     if not f.is_subgraph_of(k):
@@ -414,14 +358,24 @@ def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> lis
         raise ValueError("f must be absent from K")
     if len({x1, x2, y1, y2}) != 4:
         raise ValueError("e and f must share no vertices")
-    return _two_path_switches(k, complement(k).adj, difference(k, f).adj,
-                              (x1, x2), (y1, y2), 4)
+    return _two_path_cycles(complement(k).adj, difference(k, f).adj,
+                            (x1, x2), (y1, y2), 4)
+
+
+def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> list:
+    """All K' containing F+f but not e whose symmetric difference with K is a
+    10-cycle carrying e and f on opposite sides.
+
+    The cycle minus {e, f} is two vertex-disjoint length-4 paths alternating
+    (complement of K, K\\F), one from each endpoint of e to an endpoint of f;
+    both endpoint pairings are admitted.
+    """
+    return [toggle(k, c) for c in _ten_cycles(f, k, e, f_edge)]
 
 
 def ten_cycle_degree(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> int:
-    if k.n < 10:
-        return 0
-    return len(ten_cycle_switches(f, d, k, e, f_edge))
+    """Number of ten-cycle switchings from K (zero below 10 vertices)."""
+    return sum(1 for _ in _ten_cycles(f, k, e, f_edge))
 
 
 # -- auxiliary bipartite graphs -----------------------------------------------------
@@ -447,93 +401,101 @@ class SwitchingGraph:
 
 def verify_double_count(graph: SwitchingGraph) -> dict:
     """Exact double count: sum of left degrees = sum of right degrees = e(L)."""
-    left_sum = sum(graph.left_degrees.get(k, 0) for k in graph.left)
-    right_sum = sum(graph.right_degrees.get(k, 0) for k in graph.right)
+    left = [graph.left_degrees.get(k, 0) for k in graph.left]
+    right = [graph.right_degrees.get(k, 0) for k in graph.right]
     n_edges = len(graph.edges)
-    report = {
+    return {
         "kind": graph.kind,
         "edges": n_edges,
-        "left_sum": left_sum,
-        "right_sum": right_sum,
-        "left_min": min((graph.left_degrees.get(k, 0) for k in graph.left), default=0),
-        "left_max": max((graph.left_degrees.get(k, 0) for k in graph.left), default=0),
-        "right_min": min((graph.right_degrees.get(k, 0) for k in graph.right), default=0),
-        "right_max": max((graph.right_degrees.get(k, 0) for k in graph.right), default=0),
+        "left_sum": sum(left),
+        "right_sum": sum(right),
+        "left_min": min(left, default=0),
+        "left_max": max(left, default=0),
+        "right_min": min(right, default=0),
+        "right_max": max(right, default=0),
         "cross_consistent": graph.cross_consistent,
-        "passed": left_sum == right_sum == n_edges and graph.cross_consistent,
+        "passed": sum(left) == sum(right) == n_edges and graph.cross_consistent,
     }
-    return report
 
 
-def _bipartite_from_switches(kind, left_graphs, forward, reverse, meta=None):
-    """Assemble a SwitchingGraph from forward/reverse switching enumerators.
+def _bipartite_from_switches(kind, left_graphs, forward, reverse, meta):
+    """Assemble a SwitchingGraph from forward/reverse cycle enumerators.
 
-    forward(K) lists switch outputs of a left member; reverse(K') lists switch
-    outputs of a right member, which are intersected with the left class so the
-    double count is over exactly the recorded edges.
+    forward(K) yields the switching cycles out of a left member and
+    reverse(K') those out of a right member.  Each output is keyed by
+    toggling its source's key, so a graph is built only once per distinct
+    right member, to run its reverse enumeration.  Reverse outputs are
+    intersected with the left class so the double count is over exactly the
+    recorded edges.
     """
-    left_keys = []
-    left_set = {}
-    for g in left_graphs:
-        key = canonical_key(g)
-        left_keys.append(key)
-        left_set[key] = g
+    left = {canonical_key(g): g for g in left_graphs}
     forward_edges = set()
     left_degrees = {}
     right_members = {}
-    for key, g in left_set.items():
-        outs = forward(g)
-        left_degrees[key] = len(outs)
-        for h in outs:
-            hk = canonical_key(h)
-            right_members[hk] = h
+    for key, g in left.items():
+        degree = 0
+        for c in forward(g):
+            hk = toggled_key(key, c)
+            if hk not in right_members:
+                right_members[hk] = toggle(g, c)
             forward_edges.add((key, hk))
+            degree += 1
+        left_degrees[key] = degree
     right_keys = sorted(right_members)
     reverse_edges = set()
     right_degrees = {}
     for hk in right_keys:
-        backs = [canonical_key(g) for g in reverse(right_members[hk])]
-        inside = [bk for bk in backs if bk in left_set]
+        backs = (toggled_key(hk, c) for c in reverse(right_members[hk]))
+        inside = [bk for bk in backs if bk in left]
         right_degrees[hk] = len(inside)
-        for bk in inside:
-            reverse_edges.add((bk, hk))
+        reverse_edges.update((bk, hk) for bk in inside)
     return SwitchingGraph(
         kind=kind,
-        left=sorted(left_keys),
+        left=sorted(left),
         right=right_keys,
         edges=sorted(forward_edges),
         left_degrees=left_degrees,
         right_degrees=right_degrees,
         cross_consistent=forward_edges == reverse_edges,
-        meta=meta or {},
+        meta=meta,
     )
 
 
 def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the K_d(F) members with and without e."""
     u, v = checked_pair(f, e)
-    left = [k for k in enumerate_regular(f, d) if k.has_edge(u, v)]
+    if not f.has_edge(u, v):
+        raise ValueError("e must be an edge of the host")
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    length = 2 * ell + 1
     return _bipartite_from_switches(
         "le",
-        left,
-        lambda k: switch_neighbors_le(f, d, k, e, ell),
-        lambda k: switch_neighbors_le_absent(f, d, k, e, ell),
+        [k for k in enumerate_regular(f, d) if k.has_edge(u, v)],
+        lambda k: _alt_paths(difference(f, k).adj, k.adj, u, length, v, 0),
+        lambda k: _alt_paths(k.adj, difference(f, k).adj, u, length, v, 0),
         meta={"e": (u, v), "ell": ell},
     )
 
 
 def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the e-but-not-f and f-but-not-e classes."""
-    u1, u2 = checked_pair(f, e)
-    v1, v2 = checked_pair(f, f_edge)
-    left = [k for k in enumerate_regular(f, d)
-            if k.has_edge(u1, u2) and not k.has_edge(v1, v2)]
+    e = checked_pair(f, e)
+    f_edge = checked_pair(f, f_edge)
+    if not (f.has_edge(*e) and f.has_edge(*f_edge)):
+        raise ValueError("e and f must be edges of the host")
+    if len({*e, *f_edge}) != 4:
+        raise ValueError("e and f must share no vertices")
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    length = 2 * ell + 2
     return _bipartite_from_switches(
         "lef",
-        left,
-        lambda k: switch_neighbors_lef(f, d, k, e, f_edge, ell),
-        lambda k: switch_neighbors_lef(f, d, k, f_edge, e, ell),
-        meta={"e": (u1, u2), "f": (v1, v2), "ell": ell},
+        [k for k in enumerate_regular(f, d)
+         if k.has_edge(*e) and not k.has_edge(*f_edge)],
+        lambda k: _two_path_cycles(difference(f, k).adj, k.adj, e, f_edge, length),
+        lambda k: _two_path_cycles(difference(f, k).adj, k.adj, f_edge, e, length),
+        meta={"e": e, "f": f_edge, "ell": ell},
     )
 
 
@@ -544,11 +506,12 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
     values = {six_cycle_statistic(k, wprime, mode) for k in left_members}
     if len(values) > 1:
         raise ValueError(f"left class mixes statistic values {sorted(values)}")
+    wmask = vertex_mask(wprime)
     return _bipartite_from_switches(
         f"six-{mode}",
         left_members,
-        lambda k: six_cycle_switches(k, wprime, mode, reverse=False),
-        lambda k: six_cycle_switches(k, wprime, mode, reverse=True),
+        lambda k: _six_cycles(k, wmask, mode, False),
+        lambda k: _six_cycles(k, wmask, mode, True),
         meta={"wprime": sorted(set(wprime)), "mode": mode,
               "stat": values.pop() if values else None},
     )
@@ -556,14 +519,19 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
 
 def build_ten_cycle_graph(f: SimpleGraph, d: int, e, f_edge) -> SwitchingGraph:
     """Full auxiliary graph between the extension classes of F+e and F+f."""
-    u1, u2 = checked_pair(f, e)
-    v1, v2 = checked_pair(f, f_edge)
-    left = [k for k in enumerate_extensions(f.with_edge(u1, u2), d)
-            if not k.has_edge(v1, v2)]
+    e = checked_pair(f, e)
+    f_edge = checked_pair(f, f_edge)
+    if f.has_edge(*e) or f.has_edge(*f_edge):
+        raise ValueError("e and f must be absent from the partial graph")
+    if len({*e, *f_edge}) != 4:
+        raise ValueError("e and f must share no vertices")
     return _bipartite_from_switches(
         "ten",
-        left,
-        lambda k: ten_cycle_switches(f, d, k, e, f_edge),
-        lambda k: ten_cycle_switches(f, d, k, f_edge, e),
-        meta={"e": (u1, u2), "f": (v1, v2)},
+        [k for k in enumerate_extensions(f.with_edge(*e), d)
+         if not k.has_edge(*f_edge)],
+        lambda k: _two_path_cycles(complement(k).adj, difference(k, f).adj,
+                                   e, f_edge, 4),
+        lambda k: _two_path_cycles(complement(k).adj, difference(k, f).adj,
+                                   f_edge, e, 4),
+        meta={"e": e, "f": f_edge},
     )

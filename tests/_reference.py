@@ -4,8 +4,9 @@ These deliberately avoid the library's algorithms: regular counts and
 subgraphs with a given degree vector come from filtering raw edge-subset
 combinations, path counts from a layered meet-in-the-middle join instead of
 depth-first search, expansion statistics from the edge sets of `graphs`
-instead of popcounts, and six-cycle switchings from every ordered vertex
-6-tuple instead of a pruned walk.
+instead of popcounts, six-cycle switchings from every ordered vertex
+6-tuple instead of a pruned walk, and auxiliary switching graphs by building
+and keying every switched graph instead of toggling keys.
 """
 
 import math
@@ -13,11 +14,13 @@ from itertools import combinations, permutations
 
 from sandwichlab.audit import _witnessed_sets
 from sandwichlab.graphs import (
+    canonical_key,
     canonical_pair,
     difference,
     edges_inside,
     multi_covered_edges,
 )
+from sandwichlab.switching import SwitchingGraph
 
 
 def brute_force_regular_count(n, d, host=None):
@@ -180,3 +183,29 @@ def six_cycle_switch_graphs(k, wprime, mode, reverse=False):
             rows[v] ^= 1 << u
         out.append(tuple(rows))
     return out
+
+
+def switching_graph_reference(kind, left_graphs, forward, reverse, meta):
+    """The SwitchingGraph a builder should return, from switched graphs.
+
+    forward(K) and reverse(K') list the switched graphs out of a left and a
+    right member (the public switch functions); every one is keyed by
+    canonical_key, and a reverse output counts only inside the left class.
+    """
+    left = {canonical_key(g): g for g in left_graphs}
+    forward_edges, left_degrees, right_members = set(), {}, {}
+    for key, g in left.items():
+        outs = forward(g)
+        left_degrees[key] = len(outs)
+        for h in outs:
+            right_members[canonical_key(h)] = h
+            forward_edges.add((key, canonical_key(h)))
+    reverse_edges, right_degrees = set(), {}
+    for hk in sorted(right_members):
+        inside = [bk for bk in map(canonical_key, reverse(right_members[hk]))
+                  if bk in left]
+        right_degrees[hk] = len(inside)
+        reverse_edges.update((bk, hk) for bk in inside)
+    return SwitchingGraph(kind, sorted(left), sorted(right_members),
+                          sorted(forward_edges), left_degrees, right_degrees,
+                          forward_edges == reverse_edges, meta)

@@ -224,7 +224,12 @@ def test_usage_error_exit_code(capsys):
                   ["--kind", "lef", "--e", "1-2", "--f-edge", "7-9"],
                   ["--kind", "ten", "--e", "1-2", "--f-edge", "4-9"],
                   ["--kind", "six-two", "--wprime", "1,9"],
-                  ["--kind", "six-one", "--wprime", "0,1"]):
+                  ["--kind", "six-one", "--wprime", "0,1"],
+                  # invalid edges are refused even when no left member exists
+                  ["--kind", "le", "--e", "1-3"],
+                  ["--kind", "lef", "--e", "1-2", "--f-edge", "2-3"],
+                  ["--kind", "lef", "--e", "1-2", "--f-edge", "1-2"],
+                  ["--kind", "ten", "--e", "1-2", "--f-edge", "4-5"]):
         assert main(["switchings", "--host", C6, "--d", "2", *extra]) == 2
         assert "error:" in capsys.readouterr().err
     assert main(["kimvu", "--n", "8", "--d", "3", "--m", "6",

@@ -1,5 +1,5 @@
-"""Smoke tests: the demos that exercise the coupling, switching and schedule
-APIs run to completion."""
+"""Smoke tests: the demos that exercise the coupling, switching, audit and
+schedule APIs run to completion."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos")
 @pytest.mark.parametrize("demo", ["01_exact_stage_laws.py",
                                   "02_coupled_sandwich_run.py",
                                   "03_switchings_tour.py",
+                                  "04_property_audits.py",
                                   "05_schedule_and_polynomials.py"])
 def test_demo_runs(demo):
     # the demo imports the same sandwichlab these tests import

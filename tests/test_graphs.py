@@ -26,6 +26,8 @@ from sandwichlab.graphs import (
     neighborhood,
     parse_graph_literal,
     random_regular_graph,
+    toggle,
+    toggled_key,
     union,
 )
 
@@ -141,6 +143,26 @@ def test_edge_mask_round_trips_through_graph_from_mask():
     for n in range(1, 6):
         for mask in range(1 << (n * (n - 1) // 2)):
             assert graph_from_mask(n, mask).edge_mask() == mask
+
+
+@st.composite
+def _graph_and_cycle(draw, max_n=12):
+    """A graph and a closed sequence of at least 3 distinct vertices."""
+    n = draw(st.integers(3, max_n))
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    order = draw(st.permutations(range(1, n + 1)))
+    return graph_from_mask(n, mask), tuple(order[:draw(st.integers(3, n))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g_cycle=_graph_and_cycle())
+def test_toggle_flips_cycle_pairs_and_key_follows(g_cycle):
+    g, cycle = g_cycle
+    h = toggle(g, cycle)
+    pairs = {tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(len(cycle))}
+    assert set(g.edges()) ^ set(h.edges()) == pairs
+    assert toggled_key(canonical_key(g), cycle) == canonical_key(h)
+    assert toggle(h, cycle) == g
 
 
 def _relabeled(g, perm):

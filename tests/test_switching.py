@@ -11,12 +11,14 @@ from sandwichlab.graphs import (
     difference,
     gnp_graph,
     is_regular,
+    parse_graph_literal,
     random_regular_graph,
 )
-from sandwichlab.oracle import enumerate_regular
+from sandwichlab.oracle import enumerate_extensions, enumerate_regular
 from sandwichlab.switching import (
     PathQuery,
     build_le_graph,
+    build_lef_graph,
     build_six_cycle_graph,
     build_ten_cycle_graph,
     count_alternating,
@@ -33,7 +35,11 @@ from sandwichlab.switching import (
     weighted_endpoint_sum,
 )
 
-from _reference import mitm_alternating_count, six_cycle_switch_graphs
+from _reference import (
+    mitm_alternating_count,
+    six_cycle_switch_graphs,
+    switching_graph_reference,
+)
 
 
 def test_forced_single_path():
@@ -306,3 +312,83 @@ def test_verify_double_count_negative_control():
         graph.left_degrees[graph.left[0]] = graph.left_degrees.get(graph.left[0], 0) + 1
         report = verify_double_count(graph)
         assert not report["passed"]
+
+
+def test_repeated_left_member_counts_once():
+    w = {1, 2, 3}
+    k = next(k for k in enumerate_regular(complete_graph(8), 3)
+             if six_cycle_degree(k, w, "two-in"))
+    once = build_six_cycle_graph(3, w, "two-in", [k])
+    twice = build_six_cycle_graph(3, w, "two-in", [k, k])
+    assert twice == once
+    assert verify_double_count(twice)["passed"]
+
+
+def _assert_same_switching_graph(got, want):
+    assert got == want
+    # dict order is part of what a report shows
+    assert list(got.left_degrees.items()) == list(want.left_degrees.items())
+    assert list(got.right_degrees.items()) == list(want.right_degrees.items())
+
+
+def test_builders_match_graph_keyed_reference():
+    """Each builder keys outputs by toggling keys; the reference builds and
+    keys every switched graph through the public switch functions."""
+    host = _rich_host(random.Random(27), 8, 3, 4)
+    members = list(enumerate_regular(host, 3))
+    for ell in (1, 2):
+        nonzero = 0
+        for e in host.edges():
+            want = switching_graph_reference(
+                "le", [k for k in members if k.has_edge(*e)],
+                lambda k: switch_neighbors_le(host, 3, k, e, ell),
+                lambda k: switch_neighbors_le_absent(host, 3, k, e, ell),
+                {"e": e, "ell": ell})
+            _assert_same_switching_graph(build_le_graph(host, 3, e, ell), want)
+            nonzero += bool(want.edges)
+        assert nonzero
+
+    host10 = parse_graph_literal(
+        "n=10;edges=1-2,1-4,1-6,1-8,1-9,1-10,2-3,2-5,2-7,2-9,2-10,3-5,"
+        "3-8,3-9,4-7,4-8,4-9,5-6,5-7,6-7,6-8,6-10,9-10")
+    e, f_edge = (1, 8), (2, 3)
+    want = switching_graph_reference(
+        "lef", [k for k in enumerate_regular(host10, 3)
+                if k.has_edge(*e) and not k.has_edge(*f_edge)],
+        lambda k: switch_neighbors_lef(host10, 3, k, e, f_edge, 1),
+        lambda k: switch_neighbors_lef(host10, 3, k, f_edge, e, 1),
+        {"e": e, "f": f_edge, "ell": 1})
+    assert want.edges
+    _assert_same_switching_graph(build_lef_graph(host10, 3, e, f_edge, 1), want)
+
+    checked = 0
+    for seed in range(60):
+        f, _, e, f_edge = _ten_cycle_instance(seed)
+        e, f_edge = tuple(sorted(e)), tuple(sorted(f_edge))
+        want = switching_graph_reference(
+            "ten", [k for k in enumerate_extensions(f.with_edge(*e), 3)
+                    if not k.has_edge(*f_edge)],
+            lambda k: ten_cycle_switches(f, 3, k, e, f_edge),
+            lambda k: ten_cycle_switches(f, 3, k, f_edge, e),
+            {"e": e, "f": f_edge})
+        _assert_same_switching_graph(build_ten_cycle_graph(f, 3, e, f_edge), want)
+        checked += bool(want.edges)
+        if checked >= 2:
+            break
+    assert checked >= 2
+
+    rng = random.Random(35)
+    sample = rng.sample(list(enumerate_regular(complete_graph(8), 3)), 400)
+    w = {2, 5, 7}
+    for mode in ("two-in", "one-in"):
+        stats = {}
+        for k in sample:
+            stats.setdefault(six_cycle_statistic(k, w, mode), []).append(k)
+        value, family = max(stats.items(), key=lambda kv: len(kv[1]))
+        want = switching_graph_reference(
+            f"six-{mode}", family,
+            lambda k: six_cycle_switches(k, w, mode),
+            lambda k: six_cycle_switches(k, w, mode, reverse=True),
+            {"wprime": sorted(w), "mode": mode, "stat": value})
+        assert want.edges
+        _assert_same_switching_graph(build_six_cycle_graph(3, w, mode, family), want)
