@@ -31,8 +31,9 @@ from .audit import (
 )
 from .coupling import (
     ModelParams,
+    class_stage_laws,
+    closed_form_class_laws,
     closed_form_law,
-    exact_stage_laws,
     run_coupled_lower,
     run_coupled_upper,
     sample_f,
@@ -327,10 +328,10 @@ def _cmd_verify_marginals(config):
     params = _params_from(opts)
     verdicts = {}
     for direction in ("delete", "add"):
-        verdicts[direction] = [
-            "exact" if kernel.probs == closed_form_law(params, stage, direction).probs
-            else "fail"
-            for stage, kernel in enumerate(exact_stage_laws(params, direction))]
+        stages = zip(class_stage_laws(params, direction),
+                     closed_form_class_laws(params, direction), strict=True)
+        verdicts[direction] = ["exact" if kernel == closed else "fail"
+                               for kernel, closed in stages]
     ok = all(v == "exact" for stage_verdicts in verdicts.values() for v in stage_verdicts)
     row = {"n": params.n, "d": params.d,
            "marginal_check": "exact" if ok else "fail"}

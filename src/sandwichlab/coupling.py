@@ -7,9 +7,10 @@ stage-indexed threshold rule deletes edges from an independent-looking copy
 whose stage graphs are uniform given their edge count.  The lower pair
 (G_*, G) is the mirror-image edge-addition process.  Simulation follows the
 literal tape; exact verification pushes point masses through the conditioned
-Markov kernel.  One function, `_transition_weights`, gives the move weights
-(oracle counts) that both read, and one loop, `_run_edge_process`, runs the
-literal process in either direction.
+Markov kernel, over labeled graphs or over isomorphism classes.  One
+function, `_transition_weights`, gives the move weights (oracle counts) that
+both read, and one loop, `_run_edge_process`, runs the literal process in
+either direction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from itertools import combinations, islice
 from .graphs import (
     SimpleGraph,
     canonical_key,
+    canonical_labeling,
     complement,
     complete_graph,
     empty_graph,
@@ -548,10 +550,7 @@ class DistributionTable:
     probs: dict
 
     def edge_count(self) -> int:
-        counts = {g.edge_count() for g in self.graphs.values()}
-        if len(counts) > 1:
-            raise ValueError(f"mixed edge counts in support: {sorted(counts)}")
-        return counts.pop() if counts else 0
+        return _common_edge_count(self.graphs)
 
     def total(self) -> Fraction:
         return sum(self.probs.values(), Fraction(0))
@@ -561,6 +560,13 @@ class DistributionTable:
         if self.total() != 1:
             raise ValueError(f"probabilities sum to {self.total()}, not 1")
         return self
+
+
+def _common_edge_count(graphs: dict) -> int:
+    counts = {g.edge_count() for g in graphs.values()}
+    if len(counts) > 1:
+        raise ValueError(f"mixed edge counts in support: {sorted(counts)}")
+    return counts.pop() if counts else 0
 
 
 def point_mass(g: SimpleGraph) -> DistributionTable:
@@ -616,13 +622,13 @@ def exact_stage_laws(params: ModelParams, direction: str):
     """
     last = _last_stage(params, direction)
     start = complete_graph(params.n) if direction == "delete" else empty_graph(params.n)
-    return _iterate_kernel(point_mass(start), params.d, direction, last)
+    return _iterate_kernel(exact_kernel_step, point_mass(start), params.d, direction, last)
 
 
-def _iterate_kernel(dist, d, direction, steps):
+def _iterate_kernel(step, dist, d, direction, steps):
     yield dist
     for _ in range(steps):
-        dist = exact_kernel_step(dist, d, direction)
+        dist = step(dist, d, direction)
         yield dist
 
 
@@ -662,6 +668,226 @@ def closed_form_law(params: ModelParams, i: int, direction: str) -> Distribution
             graphs[key] = g
             probs[key] = Fraction(w, denominator)
     return DistributionTable(n, graphs, probs).check()
+
+
+# -- exact laws over isomorphism classes ------------------------------------------
+#
+# Every move weight is an oracle count, unchanged when the vertices are
+# relabeled, and both processes start from a graph fixed by every relabeling.
+# So each stage law gives isomorphic labeled graphs equal probability, and
+# one entry per class carries it.
+
+@dataclass
+class ClassLaw:
+    """Exact law over isomorphism classes of graphs sharing one edge count.
+
+    Keyed by certificate (graphs.canonical_labeling): graphs holds each
+    class's canonical form, sizes its number of labeled members, and probs
+    the probability of each labeled member.  The certificate fixes the
+    canonical form, so two ClassLaws are equal exactly when they have the
+    same classes, sizes and per-member probabilities.
+    """
+
+    n: int
+    graphs: dict
+    probs: dict
+    sizes: dict
+
+    def edge_count(self) -> int:
+        return _common_edge_count(self.graphs)
+
+    def total(self) -> Fraction:
+        """Total probability over the labeled graphs."""
+        return sum((p * self.sizes[c] for c, p in self.probs.items()), Fraction(0))
+
+    def check(self):
+        self.edge_count()
+        if self.total() != 1:
+            raise ValueError(f"probabilities sum to {self.total()}, not 1")
+        return self
+
+
+def _canonical_form(g: SimpleGraph):
+    """(certificate, canonical form, relabel) of g."""
+    cert, relabel = canonical_labeling(g)
+    return cert, SimpleGraph._from_rows(g.n, cert), relabel
+
+
+def _moved(g: SimpleGraph, e, delete: bool) -> SimpleGraph:
+    return g.without_edge(*e) if delete else g.with_edge(*e)
+
+
+def class_kernel_step(law: ClassLaw, d: int, direction: str) -> ClassLaw:
+    """exact_kernel_step on classes: each class pushes p x size x w / denom to
+    the class of each positive-weight move of its canonical form.
+
+    Class sizes come from double counting: every labeled graph H with m'
+    edges has the same number of predecessors, its C(n,2) - m' supersets by
+    one edge (delete) or its m' subgraphs less one edge (add).  The weight
+    of each of those moves is the count at H, so when H is reached at all,
+    every predecessor lies in the previous support and moves to H with
+    positive weight.  A class's size is then the number of labeled
+    (predecessor, move) pairs landing in it over that number.
+    """
+    if direction not in ("delete", "add"):
+        raise ValueError(f"unknown direction {direction!r}")
+    delete = direction == "delete"
+    graphs = {}
+    mass = {}
+    moves = {}
+    for cert, g in law.graphs.items():
+        weights = _transition_weights(g, d, direction)
+        denom = sum(weights.values())
+        if denom == 0:
+            raise RuntimeError(f"zero total transition weight at {cert}")
+        size = law.sizes[cert]
+        q = law.probs[cert] * size / denom
+        for e, w in weights.items():
+            if not w:
+                continue
+            hc, h, _ = _canonical_form(_moved(g, e, delete))
+            graphs.setdefault(hc, h)
+            mass[hc] = mass.get(hc, 0) + q * w
+            moves[hc] = moves.get(hc, 0) + size
+    m = law.edge_count() + (-1 if delete else 1)
+    predecessors = math.comb(law.n, 2) - m if delete else m
+    # a Fraction, so that a size that is not whole (a weight made positive
+    # where the count is 0) shows as a failed comparison, not a crash
+    sizes = {c: Fraction(k, predecessors) for c, k in moves.items()}
+    probs = {c: mass[c] / sizes[c] for c in graphs}
+    return ClassLaw(law.n, graphs, probs, sizes).check()
+
+
+def class_stage_laws(params: ModelParams, direction: str):
+    """exact_stage_laws over isomorphism classes: an iterator over the
+    ClassLaw of stages 0, 1, ..., last, in order."""
+    last = _last_stage(params, direction)
+    start = complete_graph(params.n) if direction == "delete" else empty_graph(params.n)
+    cert, g, _ = _canonical_form(start)
+    law = ClassLaw(params.n, {cert: g}, {cert: Fraction(1)}, {cert: 1})
+    return _iterate_kernel(class_kernel_step, law, params.d, direction, last)
+
+
+def _pair_invariant(g: SimpleGraph, e) -> tuple:
+    """Endpoint degrees and common neighbours of the pair in g.
+
+    Both can be read off the degree sequences and triangle counts of g and
+    of g with the pair toggled, so two pairs whose toggles are isomorphic
+    have equal invariants.
+    """
+    a, b = g.adj[e[0]].bit_count(), g.adj[e[1]].bit_count()
+    return min(a, b), max(a, b), (g.adj[e[0]] & g.adj[e[1]]).bit_count()
+
+
+def _earlier_support(graphs: dict, sizes: dict, delete: bool):
+    """(graphs, sizes) of the support one stage earlier than the given one.
+
+    The classes are those one backward move away (adding a non-edge for
+    delete, removing an edge for add).  The closed form is positive exactly
+    on the graphs above (delete) or below (add) some d-regular K, so those
+    moves stay in the support, and each such graph one stage earlier is
+    reached: from itself less an edge outside K (delete), or plus an edge
+    of K that it lacks (add).  A class C' reached
+    from C has size(C') = size(C) x back(C -> C') / fwd(C' -> C): both sides
+    count the labeled pairs one move apart, where back is the number of
+    backward moves from C's form into C' and fwd the number of forward moves
+    from C''s form into C.  fwd starts from the pairs of C''s form that the
+    backward moves landed on; another pair can only count when its
+    _pair_invariant is one of theirs, and only those pairs get a
+    certificate.  Of the classes reaching C', the one leaving the fewest
+    such pairs is used.
+    """
+    found = {}
+    into = {}  # C' -> {C: (back count, pairs of C''s form reaching C)}
+    for cert, g in graphs.items():
+        for e in (complement(g) if delete else g).edges():
+            hc, h, relabel = _canonical_form(_moved(g, e, not delete))
+            found.setdefault(hc, h)
+            entry = into.setdefault(hc, {}).setdefault(cert, [0, set()])
+            entry[0] += 1
+            entry[1].add(tuple(sorted((relabel[e[0]], relabel[e[1]]))))
+    earlier = {}
+    for hc, h in found.items():
+        looks = {f: _pair_invariant(h, f) for f in (h if delete else complement(h)).edges()}
+        best = None
+        for cert, (back, hits) in into[hc].items():
+            wanted = {looks[f] for f in hits}
+            unsure = [f for f, look in looks.items() if look in wanted and f not in hits]
+            if best is None or len(unsure) < len(best[3]):
+                best = (cert, back, hits, unsure)
+        cert, back, hits, unsure = best
+        fwd = len(hits) + sum(1 for f in unsure
+                              if canonical_labeling(_moved(h, f, delete))[0] == cert)
+        size, rest = divmod(sizes[cert] * back, fwd)
+        if rest:
+            raise RuntimeError(f"class sizes do not double count at {hc}")
+        earlier[hc] = size
+    return found, earlier
+
+
+def _orbit(adj: tuple) -> set:
+    """Adjacency rows of every relabeling of the graph, found by applying the
+    transpositions (v v+1) until nothing new appears."""
+    n = len(adj) - 1
+    seen = {adj}
+    stack = [adj]
+    while stack:
+        rows = stack.pop()
+        for v in range(1, n):
+            both = (1 << v) | (1 << (v + 1))
+            swapped = [r ^ both if ((r >> v) ^ (r >> (v + 1))) & 1 else r for r in rows]
+            swapped[v], swapped[v + 1] = swapped[v + 1], swapped[v]
+            swapped = tuple(swapped)
+            if swapped not in seen:
+                seen.add(swapped)
+                stack.append(swapped)
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _regular_classes(n: int, d: int):
+    """(graphs, sizes) of the classes of d-regular graphs on {1..n}.
+
+    Each class is labeled once, and its size is its orbit's, which also
+    marks its other members as classified.
+    """
+    graphs = {}
+    sizes = {}
+    classified = set()
+    for k in _all_regular(n, d):
+        if k.adj in classified:
+            continue
+        orbit = _orbit(k.adj)
+        classified |= orbit
+        cert, g, _ = _canonical_form(k)
+        graphs[cert] = g
+        sizes[cert] = len(orbit)
+    return graphs, sizes
+
+
+def closed_form_class_laws(params: ModelParams, direction: str) -> list:
+    """closed_form_law over isomorphism classes, for stages 0, 1, ..., last.
+
+    The support is found without the kernel: the last stage's classes are
+    those of the d-regular graphs (_regular_classes), and each earlier
+    stage's classes come from _earlier_support.
+    The closed form is then evaluated once per class, and each law is
+    checked to sum to exactly 1 over labeled graphs.
+    """
+    last = _last_stage(params, direction)
+    n, d = params.n, params.d
+    delete = direction == "delete"
+    weight = count_regular_spanning_subgraphs if delete else count_extensions
+    k_total = count_regular_spanning_subgraphs(complete_graph(n), d)
+    graphs, sizes = map(dict, _regular_classes(n, d))
+    laws = []
+    for stage in range(last, -1, -1):
+        denominator = k_total * math.comb(last, last - stage)
+        probs = {c: Fraction(weight(g, d), denominator) for c, g in graphs.items()}
+        laws.append(ClassLaw(n, graphs, probs, sizes).check())
+        if stage:
+            graphs, sizes = _earlier_support(graphs, sizes, delete)
+    return laws[::-1]
 
 
 # -- planted-pair samplers -------------------------------------------------------

@@ -243,7 +243,7 @@ def union(f: SimpleGraph, k: SimpleGraph) -> SimpleGraph:
 
 
 def is_regular(g: SimpleGraph, d: int) -> bool:
-    return all(g.degree(v) == d for v in g.vertices())
+    return all(row.bit_count() == d for row in g.adj[1:])
 
 
 def degree(g: SimpleGraph, v: int) -> int:

@@ -18,8 +18,9 @@ isomorphism certificate (graphs.canonical_labeling): their counts are
 invariant under relabeling, and the coupled processes meet the same host up
 to relabeling at every stage of every trial (K_n - e, a single edge, ...).
 The entry holds the per-edge counts in canonical labels.  Counts are not
-cached: their main caller, closed_form_law, asks for each labeled edge
-subset once.
+cached: their callers ask for each host once, closed_form_class_laws for
+one canonical form per isomorphism class and stage, closed_form_law for
+each labeled edge subset.
 """
 
 from __future__ import annotations

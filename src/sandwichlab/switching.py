@@ -24,6 +24,7 @@ from .graphs import (
     complement,
     difference,
     edges_inside,
+    is_regular,
     toggle,
     toggled_key,
     vertex_mask,
@@ -502,7 +503,11 @@ def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGra
 def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingGraph:
     """Auxiliary graph out of a family of regular graphs sharing one statistic
     value, with edges the unit-decreasing six-cycle switchings."""
+    if mode not in ("two-in", "one-in"):
+        raise ValueError(f"unknown mode {mode!r}")
     left_members = list(left_members)
+    if not all(is_regular(k, d) for k in left_members):
+        raise ValueError(f"left members must be {d}-regular")
     values = {six_cycle_statistic(k, wprime, mode) for k in left_members}
     if len(values) > 1:
         raise ValueError(f"left class mixes statistic values {sorted(values)}")

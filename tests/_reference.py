@@ -6,7 +6,9 @@ combinations, path counts from a layered meet-in-the-middle join instead of
 depth-first search, expansion statistics from the edge sets of `graphs`
 instead of popcounts, six-cycle switchings from every ordered vertex
 6-tuple instead of a pruned walk, and auxiliary switching graphs by building
-and keying every switched graph instead of toggling keys.
+and keying every switched graph instead of toggling keys, and the labeled
+members of an isomorphism class from every vertex permutation instead of
+double counting.
 """
 
 import math
@@ -14,6 +16,7 @@ from itertools import combinations, permutations
 
 from sandwichlab.audit import _witnessed_sets
 from sandwichlab.graphs import (
+    SimpleGraph,
     canonical_key,
     canonical_pair,
     difference,
@@ -55,6 +58,25 @@ def brute_force_subgraphs(n, pairs, target):
         if deg[1:] == list(target[1:]):
             found.append(chosen)
     return found
+
+
+def expand_class_law(law):
+    """{canonical_key: probability} of the labeled graphs a coupling.ClassLaw
+    stands for, found by applying every permutation of the vertices to each
+    class's graph; checks that each class has its stated size and that no
+    two classes share a member."""
+    n = law.n
+    out = {}
+    for cert, g in law.graphs.items():
+        members = set()
+        for perm in permutations(range(1, n + 1)):
+            image = [(perm[u - 1], perm[v - 1]) for u, v in g.edges()]
+            members.add(canonical_key(SimpleGraph(n, image)))
+        assert len(members) == law.sizes[cert], cert
+        for key in members:
+            assert key not in out, key
+            out[key] = law.probs[cert]
+    return out
 
 
 def _half_paths(rows_seq, start, avoid):

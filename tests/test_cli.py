@@ -225,6 +225,8 @@ def test_usage_error_exit_code(capsys):
                   ["--kind", "ten", "--e", "1-2", "--f-edge", "4-9"],
                   ["--kind", "six-two", "--wprime", "1,9"],
                   ["--kind", "six-one", "--wprime", "0,1"],
+                  # a host that is not d-regular
+                  ["--kind", "six-two", "--wprime", "1,2", "--d", "3"],
                   # invalid edges are refused even when no left member exists
                   ["--kind", "le", "--e", "1-3"],
                   ["--kind", "lef", "--e", "1-2", "--f-edge", "2-3"],

@@ -7,8 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from sandwichlab import coupling
+from sandwichlab.cli import main
 from sandwichlab.coupling import (
     ModelParams,
+    class_stage_laws,
+    closed_form_class_laws,
     closed_form_law,
     companion_threshold,
     eta_schedule,
@@ -37,6 +41,8 @@ from sandwichlab.graphs import (
 from sandwichlab.oracle import CapacityError, spanning_profile
 from sandwichlab.stats import chi_square_uniformity
 from sandwichlab.tape import RandomnessTape, derive_seed
+
+from _reference import expand_class_law
 
 
 def test_eta_schedule_formula_and_support():
@@ -216,6 +222,48 @@ def test_exact_marginals_match_closed_form(direction, stages):
         kernel = exact_marginal(params, stage, direction)
         closed = closed_form_law(params, stage, direction)
         assert kernel.probs == closed.probs
+
+
+# At n = 6, d = 0 and d = 5 are left out: every move weight there is 1, and
+# the labeled reference alone walks all 2^15 graphs, about 10 s.
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(n)
+                                 if d * n % 2 == 0 and (n < 6 or 0 < d < 5)])
+def test_class_laws_expand_to_labeled_laws(n, d):
+    params = ModelParams(n=n, d=d)
+    for direction in ("delete", "add"):
+        stages = zip(class_stage_laws(params, direction),
+                     closed_form_class_laws(params, direction),
+                     exact_stage_laws(params, direction), strict=True)
+        for kernel, closed, labeled in stages:
+            assert kernel == closed
+            assert expand_class_law(kernel) == labeled.probs
+
+
+def test_verify_marginals_fails_on_a_wrong_weight(monkeypatch, capsys):
+    weights = coupling._transition_weights
+
+    def one_weight_raised(g, d, direction):
+        out = weights(g, d, direction)
+        e = next(iter(out))
+        out[e] += 1
+        return out
+
+    monkeypatch.setattr(coupling, "_transition_weights", one_weight_raised)
+    assert main(["verify-marginals", "--n", "6", "--d", "3", "--format", "json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["marginal_check"] == "fail"
+    # stages 0 and 1 each hold a single class, whatever the weights
+    for verdicts in results["stages"].values():
+        assert verdicts[:2] == ["exact", "exact"]
+        assert "fail" in verdicts[2:]
+
+
+def test_verify_marginals_past_the_default_ceiling(capsys):
+    assert main(["verify-marginals", "--n", "7", "--d", "2", "--exact-ceiling", "7",
+                 "--format", "json"]) == 0
+    stages = json.loads(capsys.readouterr().out)["results"]["stages"]
+    assert len(stages["delete"]) == 15 and len(stages["add"]) == 8
+    assert {v for verdicts in stages.values() for v in verdicts} == {"exact"}
 
 
 def test_marginal_boundary_stages():

@@ -324,6 +324,14 @@ def test_repeated_left_member_counts_once():
     assert verify_double_count(twice)["passed"]
 
 
+def test_six_cycle_graph_checks_mode_and_degree_before_the_family():
+    # the mode is checked even when the family is empty
+    with pytest.raises(ValueError, match="unknown mode"):
+        verify_double_count(build_six_cycle_graph(3, {1, 99}, "bogus", []))
+    with pytest.raises(ValueError, match="3-regular"):
+        build_six_cycle_graph(3, {1, 2}, "two-in", [cycle_graph(6)])
+
+
 def _assert_same_switching_graph(got, want):
     assert got == want
     # dict order is part of what a report shows
