@@ -7,10 +7,11 @@ stage-indexed threshold rule deletes edges from an independent-looking copy
 whose stage graphs are uniform given their edge count.  The lower pair
 (G_*, G) is the mirror-image edge-addition process.  Simulation follows the
 literal tape; exact verification pushes point masses through the conditioned
-Markov kernel, over labeled graphs or over isomorphism classes.  One
-function, `_transition_weights`, gives the move weights (oracle counts) that
-both read, and one loop, `_run_edge_process`, runs the literal process in
-either direction.
+Markov kernel, over labeled graphs or over isomorphism classes: one law type
+(`ClassLaw`) and one step (`_kernel_step`) serve both.  One function,
+`_transition_weights`, gives the move weights (oracle counts) that the
+kernel and the simulation read, and one loop, `_run_edge_process`, runs the
+literal process in either direction.
 """
 
 from __future__ import annotations
@@ -540,20 +541,41 @@ def run_coupled_lower(params: ModelParams, seed) -> CoupledLowerRun:
 
 
 # -- exact distribution analysis ------------------------------------------------
+#
+# Every move weight is an oracle count, unchanged when the vertices are
+# relabeled, and both processes start from a graph fixed by every relabeling.
+# So each stage law gives isomorphic labeled graphs equal probability, and
+# one entry per class can carry it.  A law over labeled graphs is the same
+# object with every class a single graph, so one law type and one kernel
+# step serve both.
 
 @dataclass
-class DistributionTable:
-    """Exact law over labeled graphs sharing one edge count."""
+class ClassLaw:
+    """Exact law over classes of graphs sharing one edge count.
+
+    graphs holds one representative per class, sizes its number of labeled
+    members, and probs the probability of each labeled member.  Keyed by
+    canonical_key with every size 1, it is a law over labeled graphs
+    (DistributionTable); keyed by certificate (graphs.canonical_labeling)
+    with each class's canonical form, a law over isomorphism classes.  The
+    key fixes the representative, so two laws are equal exactly when they
+    have the same classes, sizes and per-member probabilities.
+    """
 
     n: int
     graphs: dict
     probs: dict
+    sizes: dict
 
     def edge_count(self) -> int:
-        return _common_edge_count(self.graphs)
+        counts = {g.edge_count() for g in self.graphs.values()}
+        if len(counts) > 1:
+            raise ValueError(f"mixed edge counts in support: {sorted(counts)}")
+        return counts.pop() if counts else 0
 
     def total(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
+        """Total probability over the labeled graphs."""
+        return sum((p * self.sizes[c] for c, p in self.probs.items()), Fraction(0))
 
     def check(self):
         self.edge_count()
@@ -562,43 +584,87 @@ class DistributionTable:
         return self
 
 
-def _common_edge_count(graphs: dict) -> int:
-    counts = {g.edge_count() for g in graphs.values()}
-    if len(counts) > 1:
-        raise ValueError(f"mixed edge counts in support: {sorted(counts)}")
-    return counts.pop() if counts else 0
+def DistributionTable(n: int, graphs: dict, probs: dict) -> ClassLaw:
+    """Exact law over labeled graphs: a ClassLaw keyed by canonical_key whose
+    classes are single graphs."""
+    return ClassLaw(n, graphs, probs, dict.fromkeys(graphs, 1))
 
 
-def point_mass(g: SimpleGraph) -> DistributionTable:
+def _labeled_form(g: SimpleGraph):
+    """(key, representative) of g's class when every graph is its own class."""
+    return canonical_key(g), g
+
+
+def _canonical_form(g: SimpleGraph):
+    """(certificate, canonical form) of g's isomorphism class."""
+    cert, _ = canonical_labeling(g)
+    return cert, SimpleGraph._from_rows(g.n, cert)
+
+
+def point_mass(g: SimpleGraph) -> ClassLaw:
     key = canonical_key(g)
     return DistributionTable(g.n, {key: g}, {key: Fraction(1)})
 
 
-def exact_kernel_step(dist: DistributionTable, d: int, direction: str) -> DistributionTable:
+def _moved(g: SimpleGraph, e, delete: bool) -> SimpleGraph:
+    return g.without_edge(*e) if delete else g.with_edge(*e)
+
+
+def _kernel_step(law: ClassLaw, d: int, direction: str, form) -> ClassLaw:
     """Push the law through one step of the conditioned transition kernel.
 
     Conditioned on a move happening, edge e is chosen with probability
-    proportional to |K_d(F-e)| (delete) or |{K : F+e in K}| (add).  All
-    arithmetic is exact rational; the output sums to exactly 1.
+    proportional to |K_d(F-e)| (delete) or |{K : F+e in K}| (add).  Each
+    class pushes p x size x w / denom to the class form(h) of each
+    positive-weight move h of its representative.  All arithmetic is exact
+    rational; the output sums to exactly 1 over labeled graphs.
+
+    Class sizes come from double counting: every labeled graph H with m'
+    edges has the same number of predecessors, its C(n,2) - m' supersets by
+    one edge (delete) or its m' subgraphs less one edge (add).  The weight
+    of each of those moves is the count at H, so when H is reached at all,
+    every predecessor lies in the previous support and moves to H with
+    positive weight.  A class's size is then the number of labeled
+    (predecessor, move) pairs landing in it over that number, which is 1
+    for single graphs when the weights are right.
     """
     if direction not in ("delete", "add"):
         raise ValueError(f"unknown direction {direction!r}")
+    delete = direction == "delete"
     graphs = {}
-    probs = {}
-    for key, g in dist.graphs.items():
-        q = dist.probs[key]
+    mass = {}
+    moves = {}
+    for key, g in law.graphs.items():
         weights = _transition_weights(g, d, direction)
         denom = sum(weights.values())
         if denom == 0:
             raise RuntimeError(f"zero total transition weight at {key}")
+        size = law.sizes[key]
+        q = law.probs[key] * size / denom
         for e, w in weights.items():
             if not w:
                 continue
-            h = g.without_edge(*e) if direction == "delete" else g.with_edge(*e)
-            hk = canonical_key(h)
-            graphs[hk] = h
-            probs[hk] = probs.get(hk, Fraction(0)) + q * Fraction(w, denom)
-    return DistributionTable(dist.n, graphs, probs).check()
+            hk, h = form(_moved(g, e, delete))
+            graphs.setdefault(hk, h)
+            mass[hk] = mass.get(hk, 0) + q * w
+            moves[hk] = moves.get(hk, 0) + size
+    m = law.edge_count() + (-1 if delete else 1)
+    predecessors = math.comb(law.n, 2) - m if delete else m
+    # a Fraction, so that a size that is not whole (a weight made positive
+    # where the count is 0) shows as a failed comparison, not a crash
+    sizes = {k: Fraction(c, predecessors) for k, c in moves.items()}
+    probs = {k: mass[k] / sizes[k] for k in graphs}
+    return ClassLaw(law.n, graphs, probs, sizes).check()
+
+
+def exact_kernel_step(dist: ClassLaw, d: int, direction: str) -> ClassLaw:
+    """One conditioned kernel step of a law over labeled graphs (_kernel_step)."""
+    return _kernel_step(dist, d, direction, _labeled_form)
+
+
+def class_kernel_step(law: ClassLaw, d: int, direction: str) -> ClassLaw:
+    """One conditioned kernel step of a law over isomorphism classes (_kernel_step)."""
+    return _kernel_step(law, d, direction, _canonical_form)
 
 
 def _last_stage(params: ModelParams, direction: str) -> int:
@@ -613,38 +679,54 @@ def _last_stage(params: ModelParams, direction: str) -> int:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def exact_stage_laws(params: ModelParams, direction: str):
-    """Iterator over the exact laws of stages 0, 1, ..., last, in order.
+def _stage_laws(params: ModelParams, direction: str, step, form):
+    """Iterator over the laws of stages 0, 1, ..., last under the kernel step.
 
-    Each law is one conditioned kernel step from the one before it, so the
-    whole sequence costs one kernel step per stage.  Arguments are checked
-    when this is called, before any law is computed.
+    Each law is one kernel step from the one before it, so the whole
+    sequence costs one step per stage.  Arguments are checked when this is
+    called, before any law is computed.
     """
     last = _last_stage(params, direction)
     start = complete_graph(params.n) if direction == "delete" else empty_graph(params.n)
-    return _iterate_kernel(exact_kernel_step, point_mass(start), params.d, direction, last)
+    # every relabeling fixes the start graph, so its class is itself
+    key, g = form(start)
+    law = ClassLaw(params.n, {key: g}, {key: Fraction(1)}, {key: 1})
+    return _iterate_kernel(step, law, params.d, direction, last)
 
 
-def _iterate_kernel(step, dist, d, direction, steps):
-    yield dist
+def _iterate_kernel(step, law, d, direction, steps):
+    yield law
     for _ in range(steps):
-        dist = step(dist, d, direction)
-        yield dist
+        law = step(law, d, direction)
+        yield law
 
 
-def exact_marginal(params: ModelParams, i: int, direction: str) -> DistributionTable:
+def exact_stage_laws(params: ModelParams, direction: str):
+    """Iterator over the exact labeled laws of stages 0, 1, ..., last, in order."""
+    return _stage_laws(params, direction, exact_kernel_step, _labeled_form)
+
+
+def class_stage_laws(params: ModelParams, direction: str):
+    """exact_stage_laws over isomorphism classes: an iterator over the
+    ClassLaw of stages 0, 1, ..., last, in order."""
+    return _stage_laws(params, direction, class_kernel_step, _canonical_form)
+
+
+def exact_marginal(params: ModelParams, i: int, direction: str) -> ClassLaw:
     """Exact stage-i law obtained by iterating the conditioned kernel."""
     if not 0 <= i <= _last_stage(params, direction):
         raise ValueError("stage out of range")
     return next(islice(exact_stage_laws(params, direction), i, None))
 
 
-def closed_form_law(params: ModelParams, i: int, direction: str) -> DistributionTable:
-    """Exact stage-i law from the closed form.
+def closed_form_law(params: ModelParams, i: int, direction: str) -> ClassLaw:
+    """Exact stage-i law from the closed form, over labeled graphs.
 
     Delete direction: P(F) = |K_d(F)| / |K_d(n)| / C(C(n,2)-dn/2, C(n,2)-dn/2-i)
     over all F with C(n,2)-i edges.  Add direction: P(F) =
     |{K : F in K}| / |K_d(n)| / C(dn/2, dn/2-i) over all F with i edges.
+    Every labeled edge subset is enumerated, so this is a reference that
+    shares nothing with the kernel.
     """
     last = _last_stage(params, direction)
     if not 0 <= i <= last:
@@ -670,103 +752,7 @@ def closed_form_law(params: ModelParams, i: int, direction: str) -> Distribution
     return DistributionTable(n, graphs, probs).check()
 
 
-# -- exact laws over isomorphism classes ------------------------------------------
-#
-# Every move weight is an oracle count, unchanged when the vertices are
-# relabeled, and both processes start from a graph fixed by every relabeling.
-# So each stage law gives isomorphic labeled graphs equal probability, and
-# one entry per class carries it.
-
-@dataclass
-class ClassLaw:
-    """Exact law over isomorphism classes of graphs sharing one edge count.
-
-    Keyed by certificate (graphs.canonical_labeling): graphs holds each
-    class's canonical form, sizes its number of labeled members, and probs
-    the probability of each labeled member.  The certificate fixes the
-    canonical form, so two ClassLaws are equal exactly when they have the
-    same classes, sizes and per-member probabilities.
-    """
-
-    n: int
-    graphs: dict
-    probs: dict
-    sizes: dict
-
-    def edge_count(self) -> int:
-        return _common_edge_count(self.graphs)
-
-    def total(self) -> Fraction:
-        """Total probability over the labeled graphs."""
-        return sum((p * self.sizes[c] for c, p in self.probs.items()), Fraction(0))
-
-    def check(self):
-        self.edge_count()
-        if self.total() != 1:
-            raise ValueError(f"probabilities sum to {self.total()}, not 1")
-        return self
-
-
-def _canonical_form(g: SimpleGraph):
-    """(certificate, canonical form, relabel) of g."""
-    cert, relabel = canonical_labeling(g)
-    return cert, SimpleGraph._from_rows(g.n, cert), relabel
-
-
-def _moved(g: SimpleGraph, e, delete: bool) -> SimpleGraph:
-    return g.without_edge(*e) if delete else g.with_edge(*e)
-
-
-def class_kernel_step(law: ClassLaw, d: int, direction: str) -> ClassLaw:
-    """exact_kernel_step on classes: each class pushes p x size x w / denom to
-    the class of each positive-weight move of its canonical form.
-
-    Class sizes come from double counting: every labeled graph H with m'
-    edges has the same number of predecessors, its C(n,2) - m' supersets by
-    one edge (delete) or its m' subgraphs less one edge (add).  The weight
-    of each of those moves is the count at H, so when H is reached at all,
-    every predecessor lies in the previous support and moves to H with
-    positive weight.  A class's size is then the number of labeled
-    (predecessor, move) pairs landing in it over that number.
-    """
-    if direction not in ("delete", "add"):
-        raise ValueError(f"unknown direction {direction!r}")
-    delete = direction == "delete"
-    graphs = {}
-    mass = {}
-    moves = {}
-    for cert, g in law.graphs.items():
-        weights = _transition_weights(g, d, direction)
-        denom = sum(weights.values())
-        if denom == 0:
-            raise RuntimeError(f"zero total transition weight at {cert}")
-        size = law.sizes[cert]
-        q = law.probs[cert] * size / denom
-        for e, w in weights.items():
-            if not w:
-                continue
-            hc, h, _ = _canonical_form(_moved(g, e, delete))
-            graphs.setdefault(hc, h)
-            mass[hc] = mass.get(hc, 0) + q * w
-            moves[hc] = moves.get(hc, 0) + size
-    m = law.edge_count() + (-1 if delete else 1)
-    predecessors = math.comb(law.n, 2) - m if delete else m
-    # a Fraction, so that a size that is not whole (a weight made positive
-    # where the count is 0) shows as a failed comparison, not a crash
-    sizes = {c: Fraction(k, predecessors) for c, k in moves.items()}
-    probs = {c: mass[c] / sizes[c] for c in graphs}
-    return ClassLaw(law.n, graphs, probs, sizes).check()
-
-
-def class_stage_laws(params: ModelParams, direction: str):
-    """exact_stage_laws over isomorphism classes: an iterator over the
-    ClassLaw of stages 0, 1, ..., last, in order."""
-    last = _last_stage(params, direction)
-    start = complete_graph(params.n) if direction == "delete" else empty_graph(params.n)
-    cert, g, _ = _canonical_form(start)
-    law = ClassLaw(params.n, {cert: g}, {cert: Fraction(1)}, {cert: 1})
-    return _iterate_kernel(class_kernel_step, law, params.d, direction, last)
-
+# -- closed-form laws over isomorphism classes ------------------------------------
 
 def _pair_invariant(g: SimpleGraph, e) -> tuple:
     """Endpoint degrees and common neighbours of the pair in g.
@@ -801,8 +787,9 @@ def _earlier_support(graphs: dict, sizes: dict, delete: bool):
     into = {}  # C' -> {C: (back count, pairs of C''s form reaching C)}
     for cert, g in graphs.items():
         for e in (complement(g) if delete else g).edges():
-            hc, h, relabel = _canonical_form(_moved(g, e, not delete))
-            found.setdefault(hc, h)
+            hc, relabel = canonical_labeling(_moved(g, e, not delete))
+            if hc not in found:
+                found[hc] = SimpleGraph._from_rows(g.n, hc)
             entry = into.setdefault(hc, {}).setdefault(cert, [0, set()])
             entry[0] += 1
             entry[1].add(tuple(sorted((relabel[e[0]], relabel[e[1]]))))
@@ -859,7 +846,7 @@ def _regular_classes(n: int, d: int):
             continue
         orbit = _orbit(k.adj)
         classified |= orbit
-        cert, g, _ = _canonical_form(k)
+        cert, g = _canonical_form(k)
         graphs[cert] = g
         sizes[cert] = len(orbit)
     return graphs, sizes

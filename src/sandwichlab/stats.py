@@ -20,7 +20,7 @@ from scipy import stats as _scipy_stats
 from .graphs import (SimpleGraph, canonical_pair, check_vertex, complement,
                      vertex_mask, _bits)
 from .oracle import CapacityError, count_regular_spanning_subgraphs, enumerate_regular
-from .coupling import DistributionTable, EtaSchedule, ModelParams
+from .coupling import ClassLaw, EtaSchedule, ModelParams
 
 
 class ModelViolationError(ValueError):
@@ -191,12 +191,13 @@ class FitResult:
 def chi_square_uniformity(samples, law, min_expected: float = 5.0) -> FitResult:
     """Pearson chi-square of observed sample keys against an exact law.
 
-    law maps keys to probabilities (a DistributionTable works).  Cells with
-    expected count below min_expected are pooled, smallest first.  A sample
-    key outside the law raises ModelViolationError.
+    law maps keys to probabilities, or is a ClassLaw, whose cells then carry
+    the probability of the whole class (of one graph, for a labeled law).
+    Cells with expected count below min_expected are pooled, smallest first.
+    A sample key outside the law raises ModelViolationError.
     """
-    if isinstance(law, DistributionTable):
-        probs = law.probs
+    if isinstance(law, ClassLaw):
+        probs = {key: p * law.sizes[key] for key, p in law.probs.items()}
     else:
         probs = law
     counts = {}

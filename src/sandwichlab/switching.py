@@ -35,37 +35,14 @@ from .oracle import enumerate_extensions, enumerate_regular
 
 # -- core enumeration ---------------------------------------------------------
 
-def _alt_count(odd_rows, even_rows, x, length, y, avoid_mask, weights=None):
-    """Count (or weight-sum) simple alternating paths of `length` edges from x.
+def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
+    """Yield the vertex tuples of the simple alternating paths of `length`
+    edges from x.
 
     Edge j uses odd_rows for odd j and even_rows for even j.  Intermediate
     vertices avoid avoid_mask; the final vertex must be y when y is given,
-    otherwise any vertex (weighted by weights[v] if provided).
+    otherwise it is any vertex outside avoid_mask.
     """
-    total = 0
-    stack = [(x, 1 << x, 1)]
-    while stack:
-        v, visited, j = stack.pop()
-        row = odd_rows[v] if j & 1 else even_rows[v]
-        if j == length:
-            if y is not None:
-                if (row >> y) & 1 and not (visited >> y) & 1:
-                    total += 1
-            else:
-                ends = row & ~visited & ~avoid_mask
-                if weights is None:
-                    total += bin(ends).count("1")
-                else:
-                    for w in _bits(ends):
-                        total += weights[w]
-            continue
-        for w in _bits(row & ~visited & ~avoid_mask):
-            stack.append((w, visited | (1 << w), j + 1))
-    return total
-
-
-def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
-    """Yield the vertex tuples of the paths counted by _alt_count."""
     path = [x]
 
     def rec(v, visited, j):
@@ -112,7 +89,7 @@ def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
             raise ValueError("avoid set must not contain the endpoints")
     fk = difference(f, k)
     first, second = (k.adj, fk.adj) if start_in_k else (fk.adj, k.adj)
-    return _alt_count(first, second, x, length, y, avoid_mask)
+    return sum(1 for _ in _alt_paths(first, second, x, length, y, avoid_mask))
 
 
 def count_alternating_paths(f: SimpleGraph, k: SimpleGraph, x: int, y: int,
@@ -144,7 +121,8 @@ def weighted_endpoint_sum(f: SimpleGraph, k: SimpleGraph, v: int, i: int) -> int
     weights = [0] * (f.n + 1)
     for u in range(1, f.n + 1):
         weights[u] = fk.degree(u)
-    return _alt_count(k.adj, fk.adj, v, 2 * i - 1, None, 0, weights=weights)
+    paths = _alt_paths(k.adj, fk.adj, v, 2 * i - 1, None, 0)
+    return sum(weights[p[-1]] for p in paths)
 
 
 @dataclass(frozen=True)

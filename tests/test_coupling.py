@@ -34,6 +34,7 @@ from sandwichlab.coupling import (
 from sandwichlab.graphs import (
     SimpleGraph,
     canonical_key,
+    canonical_labeling,
     complete_graph,
     empty_graph,
     is_regular,
@@ -222,6 +223,52 @@ def test_exact_marginals_match_closed_form(direction, stages):
         kernel = exact_marginal(params, stage, direction)
         closed = closed_form_law(params, stage, direction)
         assert kernel.probs == closed.probs
+
+
+@pytest.mark.parametrize("direction", ["delete", "add"])
+def test_labeled_kernel_laws_equal_closed_form_laws(direction):
+    # whole laws, so every labeled class size the kernel double counts is 1
+    params = ModelParams(n=5, d=2)
+    last = params.steps_upper if direction == "delete" else params.steps_lower
+    for stage in range(last + 1):
+        kernel = exact_marginal(params, stage, direction)
+        assert kernel == closed_form_law(params, stage, direction)
+
+
+@pytest.mark.parametrize("direction", ["delete", "add"])
+def test_labeled_kernel_fails_on_a_wrong_weight(monkeypatch, direction):
+    # closed_form_law enumerates edge subsets and never reads the move
+    # weights, so it still catches a fault in the shared kernel step
+    weights = coupling._transition_weights
+
+    def one_weight_raised(g, d, direction):
+        out = weights(g, d, direction)
+        if out:
+            out[next(iter(out))] += 1
+        return out
+
+    params = ModelParams(n=5, d=2)
+    last = params.steps_upper if direction == "delete" else params.steps_lower
+    closed = [closed_form_law(params, stage, direction) for stage in range(last + 1)]
+    monkeypatch.setattr(coupling, "_transition_weights", one_weight_raised)
+    assert exact_marginal(params, 0, direction) == closed[0]
+    assert any(exact_marginal(params, stage, direction) != closed[stage]
+               for stage in range(1, last + 1))
+
+
+def test_class_law_fit_equals_labeled_fit_summed_by_class():
+    params = ModelParams(n=5, d=2, m=2)
+    stage = params.steps_upper - params.m
+    rng = random.Random(98)
+    certs = [canonical_labeling(sample_f(params, rng)[1])[0] for _ in range(5000)]
+    class_law = closed_form_class_laws(params, "delete")[stage]
+    labeled = closed_form_law(params, stage, "delete")
+    summed = dict.fromkeys(class_law.graphs, Fraction(0))
+    for key, g in labeled.graphs.items():
+        summed[canonical_labeling(g)[0]] += labeled.probs[key]
+    fit = chi_square_uniformity(certs, class_law)
+    assert fit == chi_square_uniformity(certs, summed)
+    assert fit.dof > 0 and fit.p_value > 1e-3, fit.statistic
 
 
 # At n = 6, d = 0 and d = 5 are left out: every move weight there is 1, and
