@@ -5,7 +5,8 @@ finite check with explicit thresholds.  Checkers return a PropertyReport
 carrying the worst signed margin and the witness achieving it, so a desk-scale
 run stays informative even where the literal constants make the check vacuous
 or unsatisfiable; in the vacuous case the report names the constraint that
-emptied the search space instead of silently rescaling.
+emptied the search space instead of silently rescaling.  Each checker lists
+its (margin, witness) instances, exhaustive then sampled, and _worst reduces them.
 
 All logarithms are natural.
 """
@@ -16,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .graphs import (
     SimpleGraph,
@@ -66,6 +67,25 @@ def _vacuous(property_id, params, notes) -> PropertyReport:
                           f"vacuous: {notes}")
 
 
+def _worst(property_id, params, instances, empty) -> PropertyReport:
+    """Count the (margin, witness) instances and keep the first least margin.
+
+    Ties keep the earliest instance; with none the report is vacuous for empty.
+    """
+    worst, witness, seen = INF, None, 0
+    for margin, candidate in instances:
+        seen += 1
+        if margin < worst:
+            worst, witness = margin, candidate
+    if not seen:
+        return _vacuous(property_id, params, empty)
+    return PropertyReport(property_id, params, seen, worst >= 0, worst, witness)
+
+
+def _no_samples(samples, rng) -> str:
+    return "no rng" if rng is None else f"samples {samples}"
+
+
 def _require_subgraph(k: SimpleGraph, f: SimpleGraph):
     if not k.is_subgraph_of(f):
         raise ValueError("K must be a subgraph of F")
@@ -73,18 +93,18 @@ def _require_subgraph(k: SimpleGraph, f: SimpleGraph):
 
 # -- degree properties ---------------------------------------------------------
 
+def _degree_band(property_id, params, g: SimpleGraph, lo, hi) -> PropertyReport:
+    """Every degree of g must lie in [lo, hi]; the witness is a vertex."""
+    degrees = ((g.degree(v), v) for v in g.vertices())
+    return _worst(property_id, params,
+                  ((min(deg - lo, hi - deg), v) for deg, v in degrees),
+                  "no vertex")
+
+
 def check_degree_band(f: SimpleGraph, d: int, delta: float, eta: float) -> PropertyReport:
     """Every degree of F must lie in [d + (1-eta)*delta, d + (1+eta)*delta]."""
-    lo = d + (1 - eta) * delta
-    hi = d + (1 + eta) * delta
-    worst, witness = INF, None
-    for v in f.vertices():
-        deg = f.degree(v)
-        margin = min(deg - lo, hi - deg)
-        if margin < worst:
-            worst, witness = margin, v
-    return PropertyReport("degree-band", {"d": d, "delta": delta, "eta": eta},
-                          f.n, worst >= 0, worst, witness)
+    return _degree_band("degree-band", {"d": d, "delta": delta, "eta": eta}, f,
+                        d + (1 - eta) * delta, d + (1 + eta) * delta)
 
 
 def check_fk_degrees(f: SimpleGraph, k: SimpleGraph, delta: float,
@@ -92,18 +112,10 @@ def check_fk_degrees(f: SimpleGraph, k: SimpleGraph, delta: float,
     """Every F\\K degree must lie within (1 +/- C'*sqrt(log n/delta))*delta."""
     _require_subgraph(k, f)
     band = band_constant * math.sqrt(math.log(f.n) / delta)
-    lo, hi = (1 - band) * delta, (1 + band) * delta
-    fk = difference(f, k)
-    worst, witness = INF, None
-    for v in f.vertices():
-        deg = fk.degree(v)
-        margin = min(deg - lo, hi - deg)
-        if margin < worst:
-            worst, witness = margin, v
-    return PropertyReport("fk-degrees",
-                          {"delta": delta, "band_constant": band_constant,
-                           "band": band},
-                          f.n, worst >= 0, worst, witness)
+    return _degree_band("fk-degrees",
+                        {"delta": delta, "band_constant": band_constant,
+                         "band": band},
+                        difference(f, k), (1 - band) * delta, (1 + band) * delta)
 
 
 def check_neighborhood_sums(f: SimpleGraph, k: SimpleGraph, delta: float,
@@ -116,23 +128,17 @@ def check_neighborhood_sums(f: SimpleGraph, k: SimpleGraph, delta: float,
     _require_subgraph(k, f)
     t = 2.0 / delta if tol is None else tol
     fk = difference(f, k)
-    fk_deg = [0] * (f.n + 1)
-    for v in f.vertices():
-        fk_deg[v] = fk.degree(v)
-    worst, witness = INF, None
-    for v in f.vertices():
-        total = 0
-        for u in _bits(fk.adj[v]):
-            for u2 in _bits(k.adj[u]):
-                total += fk_deg[u2]
-        center = fk_deg[v] * delta * d
-        lo, hi = (1 - t) * center, (1 + t) * center
-        margin = min(total - lo, hi - total)
-        if margin < worst:
-            worst, witness = margin, v
-    return PropertyReport("neighborhood-sums",
-                          {"delta": delta, "d": d, "tol": t},
-                          f.n, worst >= 0, worst, witness)
+    fk_deg = [0] + [fk.degree(v) for v in f.vertices()]
+
+    def instances():
+        for v in f.vertices():
+            total = sum(fk_deg[w] for u in _bits(fk.adj[v]) for w in _bits(k.adj[u]))
+            center = fk_deg[v] * delta * d
+            lo, hi = (1 - t) * center, (1 + t) * center
+            yield min(total - lo, hi - total), v
+
+    return _worst("neighborhood-sums", {"delta": delta, "d": d, "tol": t},
+                  instances(), "no vertex")
 
 
 # -- expansion properties --------------------------------------------------------
@@ -189,8 +195,7 @@ def _check_expansion(property_id, f, k, counts_k, ratio, ratio_name, factor,
     and the c_x over x in U count each inside edge from both ends, so the
     statistic is the sum of c_y over outside y with c_y >= 2 plus half the sum
     of c_x over x in U.  It depends on U alone, and many pairs share one U, so
-    it is computed once per set within a call; the pairs, their order and the
-    first minimizer are unchanged.
+    it is computed once per set within a call.
     """
     _require_subgraph(k, f)
     if size_cap < 1:
@@ -198,22 +203,19 @@ def _check_expansion(property_id, f, k, counts_k, ratio, ratio_name, factor,
                         f"size cap {size_cap:.3g} < 1 admits no set at n={f.n}")
     fk = difference(f, k)
     carrier, counted = (fk, k) if counts_k else (k, fk)
-    worst, witness, seen = INF, None, 0
-    statistics = {}
-    for uprime, u in _witnessed_sets(carrier.adj, f.n, witness_cap, ratio / 4,
-                                     size_cap, pool_cap, samples, rng):
-        seen += 1
-        umask = vertex_mask(u)
-        stat = statistics.get(umask)
-        if stat is None:
-            stat = statistics[umask] = _expansion_statistic(counted, umask)
-        margin = factor * len(u) - stat
-        if margin < worst:
-            worst, witness = margin, (uprime, u)
-    if not seen:
-        return _vacuous(property_id, params,
-                        f"no witnessed set meets |U| >= {ratio_name}*|U'|/4 = {ratio/4:.3g}")
-    return PropertyReport(property_id, params, seen, worst >= 0, worst, witness)
+
+    def instances():
+        statistics = {}
+        for uprime, u in _witnessed_sets(carrier.adj, f.n, witness_cap, ratio / 4,
+                                         size_cap, pool_cap, samples, rng):
+            umask = vertex_mask(u)
+            stat = statistics.get(umask)
+            if stat is None:
+                stat = statistics[umask] = _expansion_statistic(counted, umask)
+            yield factor * len(u) - stat, (uprime, u)
+
+    return _worst(property_id, params, instances(),
+                  f"no witnessed set meets |U| >= {ratio_name}*|U'|/4 = {ratio/4:.3g}")
 
 
 def check_expansion_k(f: SimpleGraph, k: SimpleGraph, lam: float, d: int,
@@ -275,29 +277,26 @@ def check_local_density(h: SimpleGraph, size_cap: float = None,
     max_size = int(min(size_cap, n))
     if max_size < 1:
         return _vacuous("local-density", params, f"size cap {size_cap:.3g} < 1")
+    vertices = range(1, n + 1)
+
+    def sets():
+        for size in range(1, min(enum_cap, max_size) + 1):
+            yield from combinations(vertices, size)
+        if rng is not None and max_size > enum_cap:
+            for _ in range(samples):
+                size = rng.randint(enum_cap + 1, max_size)
+                yield tuple(rng.sample(vertices, size))
 
     def offenders(u):
         umask = vertex_mask(u)
-        return sum(1 for v in h.vertices()
+        return sum(1 for v in vertices
                    if not (umask >> v) & 1
-                   and bin(h.adj[v] & umask).count("1") >= degree_cap)
+                   and (h.adj[v] & umask).bit_count() >= degree_cap)
 
-    worst, witness, seen = INF, None, 0
-    for size in range(1, min(enum_cap, max_size) + 1):
-        for u in combinations(range(1, n + 1), size):
-            seen += 1
-            margin = count_cap - offenders(u)
-            if margin < worst:
-                worst, witness = margin, u
-    if rng is not None and max_size > enum_cap:
-        for _ in range(samples):
-            size = rng.randint(enum_cap + 1, max_size)
-            u = tuple(rng.sample(range(1, n + 1), size))
-            seen += 1
-            margin = count_cap - offenders(u)
-            if margin < worst:
-                worst, witness = margin, u
-    return PropertyReport("local-density", params, seen, worst >= 0, worst, witness)
+    return _worst("local-density", params,
+                  ((count_cap - offenders(u), u) for u in sets()),
+                  f"enum_cap {enum_cap} and {_no_samples(samples, rng)}: "
+                  "no set checked")
 
 
 def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
@@ -317,47 +316,35 @@ def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
     params = {"lam": lam, "size_floor": size_floor, "delta": delta}
     if delta == 0:
         return _vacuous("connection", params, "F\\K has no edges")
+    vertices = range(1, n + 1)
 
-    def margin_of(u, v_set):
+    def pairs():
+        if n <= exhaustive_n:
+            # vertex v is digit v-1 (least significant first) of a base-3
+            # counter: 1 puts it in U, 2 in V
+            for digits in product(range(3), repeat=n):
+                u = [v for v, side in zip(vertices, reversed(digits)) if side == 1]
+                v_set = [v for v, side in zip(vertices, reversed(digits)) if side == 2]
+                if len(u) >= size_floor and len(v_set) >= size_floor and u <= v_set:
+                    yield u, v_set
+            return
+        sampler = rng or random.Random(0)
+        for _ in range(samples):
+            su = sampler.randint(size_floor, max(size_floor, n // 2))
+            sv = sampler.randint(size_floor, max(size_floor, n - su))
+            perm = sampler.sample(vertices, su + sv)
+            yield perm[:su], perm[su:]
+
+    def instance(u, v_set):
         e_uv = edges_between(fk, u, v_set)
         bound = (1 - lam) * (delta / n) * len(u) * len(v_set)
         ratio = e_uv * n / (delta * len(u) * len(v_set))
-        return e_uv - bound, ratio
+        return e_uv - bound, {"pair": (tuple(u), tuple(v_set)), "ratio": ratio}
 
-    worst, witness, seen, worst_ratio = INF, None, 0, INF
-    if n <= exhaustive_n:
-        vertices = range(1, n + 1)
-        for assign in range(3 ** n):
-            u, v_set = [], []
-            a = assign
-            for vert in vertices:
-                part = a % 3
-                a //= 3
-                if part == 1:
-                    u.append(vert)
-                elif part == 2:
-                    v_set.append(vert)
-            if len(u) < size_floor or len(v_set) < size_floor or u > v_set:
-                continue
-            seen += 1
-            margin, ratio = margin_of(u, v_set)
-            if margin < worst:
-                worst, witness, worst_ratio = margin, (tuple(u), tuple(v_set)), ratio
-    else:
-        rng = rng or random.Random(0)
-        for _ in range(samples):
-            su = rng.randint(size_floor, max(size_floor, n // 2))
-            sv = rng.randint(size_floor, max(size_floor, n - su))
-            perm = rng.sample(range(1, n + 1), su + sv)
-            u, v_set = perm[:su], perm[su:]
-            seen += 1
-            margin, ratio = margin_of(u, v_set)
-            if margin < worst:
-                worst, witness, worst_ratio = margin, (tuple(u), tuple(v_set)), ratio
-    if not seen:
-        return _vacuous("connection", params, "no disjoint pair meets the floor")
-    return PropertyReport("connection", params, seen, worst >= 0, worst,
-                          {"pair": witness, "ratio": worst_ratio})
+    empty = ("no disjoint pair meets the floor" if n <= exhaustive_n else
+             f"n={n} is above exhaustive_n={exhaustive_n} and samples {samples}")
+    return _worst("connection", params,
+                  (instance(u, v_set) for u, v_set in pairs()), empty)
 
 
 def check_uv_distribution(k: SimpleGraph, d: int, size_floor: int = None,
@@ -377,37 +364,29 @@ def check_uv_distribution(k: SimpleGraph, d: int, size_floor: int = None,
     params = {"d": d, "size_floor": size_floor, "tolerance": tolerance}
     if d == 0:
         return _vacuous("uv-distribution", params, "d = 0 has no edges to place")
-
-    def margin_of(u, v_set):
-        ratio = edges_between(k, u, v_set) * n / (d * len(u) * len(v_set))
-        return tolerance - abs(ratio - 1), ratio
-
-    worst, witness, seen, worst_ratio = INF, None, 0, None
+    vertices = range(1, n + 1)
     sizes = range(size_floor, n + 1)
-    budget = sum(math.comb(n, s) for s in sizes) ** 2
-    if budget <= 4096:
-        subsets = [c for s in sizes for c in combinations(range(1, n + 1), s)]
-        for u in subsets:
-            for v_set in subsets:
-                seen += 1
-                margin, ratio = margin_of(u, v_set)
-                if margin < worst:
-                    worst, witness, worst_ratio = margin, (u, v_set), ratio
-    if samples and rng is not None:
-        for _ in range(samples):
-            su = rng.randint(size_floor, n)
-            sv = rng.randint(size_floor, n)
-            u = tuple(rng.sample(range(1, n + 1), su))
-            v_set = tuple(rng.sample(range(1, n + 1), sv))
-            seen += 1
-            margin, ratio = margin_of(u, v_set)
-            if margin < worst:
-                worst, witness, worst_ratio = margin, (u, v_set), ratio
-    if not seen:
-        return _vacuous("uv-distribution", params,
-                        f"floor {size_floor} exceeds n={n}")
-    return PropertyReport("uv-distribution", params, seen, worst >= 0, worst,
-                          {"pair": witness, "ratio": worst_ratio})
+    subset_count = sum(math.comb(n, s) for s in sizes)
+
+    def pairs():
+        if subset_count ** 2 <= 4096:
+            subsets = [c for s in sizes for c in combinations(vertices, s)]
+            yield from product(subsets, repeat=2)
+        if samples and rng is not None:
+            for _ in range(samples):
+                su = rng.randint(size_floor, n)
+                sv = rng.randint(size_floor, n)
+                yield tuple(rng.sample(vertices, su)), tuple(rng.sample(vertices, sv))
+
+    def instance(u, v_set):
+        ratio = edges_between(k, u, v_set) * n / (d * len(u) * len(v_set))
+        return tolerance - abs(ratio - 1), {"pair": (u, v_set), "ratio": ratio}
+
+    empty = (f"{subset_count} sets of size >= {size_floor} give more than "
+             f"4096 pairs and {_no_samples(samples, rng)}" if subset_count else
+             f"floor {size_floor} exceeds n={n}")
+    return _worst("uv-distribution", params,
+                  (instance(u, v_set) for u, v_set in pairs()), empty)
 
 
 # -- path-length threshold ----------------------------------------------------------

@@ -65,7 +65,7 @@ class SimpleGraph:
         return bool((self.adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> frozenset:
         return frozenset(_bits(self.adj[v]))
@@ -83,7 +83,7 @@ class SimpleGraph:
         return out
 
     def edge_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.adj) // 2
+        return sum(r.bit_count() for r in self.adj) // 2
 
     def edge_mask(self) -> int:
         """Edge set packed as a bitmask over pair_list(self.n).
@@ -494,7 +494,7 @@ def edges_between(g: SimpleGraph, u_set, v_set) -> int:
     U and V may overlap; an edge inside the overlap is counted twice.
     """
     vmask = vertex_mask(v_set)
-    return sum(bin(g.adj[u] & vmask).count("1") for u in set(u_set))
+    return sum((g.adj[u] & vmask).bit_count() for u in set(u_set))
 
 
 def edges_inside(g: SimpleGraph, u_set) -> int:
@@ -513,7 +513,7 @@ def multi_covered_edges(g: SimpleGraph, u_set) -> set:
     out = set()
     for x in members:
         for y in _bits(g.adj[x] & ~umask):
-            if bin(g.adj[y] & umask).count("1") >= 2:
+            if (g.adj[y] & umask).bit_count() >= 2:
                 out.add(canonical_pair(x, y))
     return out
 

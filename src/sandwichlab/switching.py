@@ -253,7 +253,7 @@ def six_cycle_statistic(k: SimpleGraph, wprime, mode: str) -> int:
     if mode == "two-in":
         return edges_inside(k, wprime)
     if mode == "one-in":
-        return sum(max(bin(k.adj[v] & wmask).count("1") - 1, 0)
+        return sum(max((k.adj[v] & wmask).bit_count() - 1, 0)
                    for v in range(1, k.n + 1) if not (wmask >> v) & 1)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -290,7 +290,7 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for v1, v2 in starts:
-        if mode == "one-in" and bin(adj[v2] & wmask).count("1") < min2:
+        if mode == "one-in" and (adj[v2] & wmask).bit_count() < min2:
             continue
         used12 = (1 << v1) | (1 << v2)
         for v3 in _bits(second[v2] & ~wmask & ~used12):
@@ -303,7 +303,7 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
                         if not (second[v6] >> v1) & 1:
                             continue
                         if (mode == "one-in"
-                                and bin(adj[v6] & wmask).count("1") > max6):
+                                and (adj[v6] & wmask).bit_count() > max6):
                             continue
                         yield (v1, v2, v3, v4, v5, v6)
 

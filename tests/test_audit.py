@@ -22,6 +22,7 @@ from sandwichlab.coupling import ModelParams, sample_f
 from sandwichlab.graphs import (
     SimpleGraph,
     complete_graph,
+    cycle_graph,
     difference,
     edges_between,
     empty_graph,
@@ -192,6 +193,15 @@ def test_local_density_trivia():
     assert not tight.passed
 
 
+def test_local_density_with_nothing_to_check_is_vacuous():
+    report = check_local_density(cycle_graph(6), enum_cap=0)
+    assert report.instances == 0
+    assert report.notes == "vacuous: enum_cap 0 and no rng: no set checked"
+    sampled = check_local_density(cycle_graph(6), enum_cap=0, samples=0,
+                                  rng=random.Random(0))
+    assert sampled.notes == "vacuous: enum_cap 0 and samples 0: no set checked"
+
+
 def test_local_density_gnp_rate():
     rng = random.Random(47)
     passes = 0
@@ -211,6 +221,13 @@ def test_connection_complete_and_empty():
     kreg = random_regular_graph(8, 3, random.Random(48))
     flat = check_connection(kreg, kreg, lam=0.5, size_floor=2)
     assert flat.notes.startswith("vacuous")
+
+
+def test_connection_without_samples_names_exhaustive_n():
+    k, f, delta_unused = _planted_pair(56, n=10, d=3, m=10)
+    report = check_connection(f, k, 0.5, size_floor=2, samples=0)
+    assert report.instances == 0
+    assert report.notes == "vacuous: n=10 is above exhaustive_n=8 and samples 0"
 
 
 def test_connection_witness_reevaluates():
@@ -300,3 +317,18 @@ def test_sampled_checks_are_seed_deterministic():
     assert first.worst_margin == second.worst_margin
     assert first.witness == second.witness
     assert first.instances == second.instances
+
+
+def test_ties_keep_the_first_instance():
+    # K a 6-cycle and F\K the perfect matching of opposite vertices: both are
+    # regular, so every vertex has the same margin and vertex 1 must win
+    k = cycle_graph(6)
+    f = union(k, SimpleGraph(6, [(1, 4), (2, 5), (3, 6)]))
+    assert check_degree_band(f, 2, 1.0, 0.5).witness == 1
+    assert check_fk_degrees(f, k, 1.0, 1.0).witness == 1
+    assert check_neighborhood_sums(f, k, 1.0, 2).witness == 1
+    # each singleton has its two cycle neighbours as offenders
+    density = check_local_density(cycle_graph(6), enum_cap=1, degree_cap=1)
+    assert density.instances == 6
+    assert density.worst_margin == 100 * math.log(6) - 2
+    assert density.witness == (1,)

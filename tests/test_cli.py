@@ -97,6 +97,27 @@ def test_audit_subcommand(capsys):
     assert report["results"]["report"]["property"] == "degree-band"
 
 
+def test_audit_vacuous_note_names_the_real_reason(capsys):
+    # 1,471 sets of size >= 10 at n=14: too many pairs to enumerate, no samples
+    code, out = _run(["audit", "--property", "uv-distribution", "--n", "14",
+                      "--d", "4", "--m", "8", "--size-floor", "10"], capsys)
+    assert code == 0
+    report = json.loads(out)["results"]["report"]
+    assert report["instances"] == 0
+    assert report["notes"] == ("vacuous: 1471 sets of size >= 10 give more "
+                               "than 4096 pairs and samples 0")
+
+
+def test_tiny_tau_floor_is_refused_at_the_tape_bound(capsys):
+    start = time.perf_counter()
+    assert main(["couple-upper", "--n", "8", "--d", "3", "--tau-floor", "1e-9",
+                 "--trials", "1"]) == 2
+    assert "error: tape index" in capsys.readouterr().err
+    assert time.perf_counter() - start < 60
+    assert main(["couple-upper", "--n", "8", "--d", "3", "--tau-floor", "1e-5",
+                 "--trials", "1"]) == 0
+
+
 def test_kimvu_subcommand(capsys):
     code, out = _run(["kimvu", "--n", "8", "--d", "3", "--m", "6",
                       "--x", "1", "--y", "2", "--k", "2", "--seed", "4"], capsys)

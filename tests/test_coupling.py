@@ -41,7 +41,7 @@ from sandwichlab.graphs import (
 )
 from sandwichlab.oracle import CapacityError, spanning_profile
 from sandwichlab.stats import chi_square_uniformity
-from sandwichlab.tape import RandomnessTape, derive_seed
+from sandwichlab.tape import MAX_DRAWS, RandomnessTape, TapeBoundError, derive_seed
 
 from _reference import expand_class_law
 
@@ -103,6 +103,18 @@ def test_gstar_edge_count_equals_binomial_draw():
     for seed in range(5):
         transcript, gstar = run_gstar(params, RandomnessTape(6, seed))
         assert gstar.edge_count() == transcript.meta["M"]
+
+
+def test_tape_refuses_reads_past_its_bound():
+    tape = RandomnessTape(6, 1)
+    first = tape.pair(1), tape.x(1)
+    for read in (tape.pair, tape.x):
+        with pytest.raises(TapeBoundError, match=str(MAX_DRAWS)):
+            read(MAX_DRAWS + 1)
+    assert issubclass(TapeBoundError, CapacityError)
+    # a refused read draws nothing, so the streams are unchanged
+    assert (tape.pair(1), tape.x(1)) == first
+    assert tape.pair(2) == RandomnessTape(6, 1).pair(2)
 
 
 def test_coupled_runs_are_deterministic():
