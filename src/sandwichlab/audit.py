@@ -317,9 +317,11 @@ def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
     if delta == 0:
         return _vacuous("connection", params, "F\\K has no edges")
     vertices = range(1, n + 1)
+    exhaustive = n <= exhaustive_n
+    fits = 2 * size_floor <= n  # else no disjoint pair meets the floor
 
     def pairs():
-        if n <= exhaustive_n:
+        if exhaustive:
             # vertex v is digit v-1 (least significant first) of a base-3
             # counter: 1 puts it in U, 2 in V
             for digits in product(range(3), repeat=n):
@@ -327,13 +329,13 @@ def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
                 v_set = [v for v, side in zip(vertices, reversed(digits)) if side == 2]
                 if len(u) >= size_floor and len(v_set) >= size_floor and u <= v_set:
                     yield u, v_set
-            return
-        sampler = rng or random.Random(0)
-        for _ in range(samples):
-            su = sampler.randint(size_floor, max(size_floor, n // 2))
-            sv = sampler.randint(size_floor, max(size_floor, n - su))
-            perm = sampler.sample(vertices, su + sv)
-            yield perm[:su], perm[su:]
+        elif fits:
+            sampler = rng or random.Random(0)
+            for _ in range(samples):
+                su = sampler.randint(size_floor, max(size_floor, n // 2))
+                sv = sampler.randint(size_floor, max(size_floor, n - su))
+                perm = sampler.sample(vertices, su + sv)
+                yield perm[:su], perm[su:]
 
     def instance(u, v_set):
         e_uv = edges_between(fk, u, v_set)
@@ -341,7 +343,7 @@ def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
         ratio = e_uv * n / (delta * len(u) * len(v_set))
         return e_uv - bound, {"pair": (tuple(u), tuple(v_set)), "ratio": ratio}
 
-    empty = ("no disjoint pair meets the floor" if n <= exhaustive_n else
+    empty = ("no disjoint pair meets the floor" if exhaustive or not fits else
              f"n={n} is above exhaustive_n={exhaustive_n} and samples {samples}")
     return _worst("connection", params,
                   (instance(u, v_set) for u, v_set in pairs()), empty)
@@ -372,7 +374,7 @@ def check_uv_distribution(k: SimpleGraph, d: int, size_floor: int = None,
         if subset_count ** 2 <= 4096:
             subsets = [c for s in sizes for c in combinations(vertices, s)]
             yield from product(subsets, repeat=2)
-        if samples and rng is not None:
+        if samples and rng is not None and subset_count:
             for _ in range(samples):
                 su = rng.randint(size_floor, n)
                 sv = rng.randint(size_floor, n)

@@ -194,6 +194,11 @@ def _cmd_audit(config):
     k, f = sample_f(params, rng)
     delta = 2 * params.m / params.n
     lam = opts.get("lam", 0.5)
+
+    def given(*names):
+        # the flags that were set; a checker keeps its own default for the rest
+        return {name: opts[name] for name in names if name in opts}
+
     if prop == "degree-band":
         report = check_degree_band(f, params.d, delta, params.eta)
     elif prop == "fk-degrees":
@@ -204,19 +209,18 @@ def _cmd_audit(config):
     elif prop == "expansion-k":
         report = check_expansion_k(f, k, lam, params.d, delta,
                                    log_divisor=bool(opts.get("log_divisor")),
-                                   size_cap=opts.get("size_cap"), rng=rng)
+                                   rng=rng, **given("size_cap", "samples"))
     elif prop == "expansion-fk":
-        report = check_expansion_fk(f, k, lam, delta, params.d,
-                                    size_cap=opts.get("size_cap"), rng=rng)
+        report = check_expansion_fk(f, k, lam, delta, params.d, rng=rng,
+                                    **given("size_cap", "samples"))
     elif prop == "local-density":
-        report = check_local_density(difference(f, k), rng=rng)
+        report = check_local_density(difference(f, k), rng=rng,
+                                     **given("size_cap", "samples"))
     elif prop == "connection":
-        report = check_connection(f, k, lam, size_floor=opts.get("size_floor"),
-                                  rng=rng)
+        report = check_connection(f, k, lam, rng=rng, **given("size_floor", "samples"))
     elif prop == "uv-distribution":
-        report = check_uv_distribution(k, params.d,
-                                       size_floor=opts.get("size_floor"),
-                                       samples=opts.get("samples", 0), rng=rng)
+        report = check_uv_distribution(k, params.d, rng=rng,
+                                       **given("size_floor", "samples"))
     else:
         raise ValueError(f"unknown property {prop!r}")
     row = {"property": report.property_id, "n": params.n, "d": params.d,
@@ -491,7 +495,7 @@ def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
     p.add_argument("--size-cap", dest="size_cap", type=float)
     p.add_argument("--size-floor", dest="size_floor", type=int)
     p.add_argument("--log-divisor", dest="log_divisor", action="store_true")
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=int)
 
     p = sub.add_parser("kimvu", help="path polynomial expectation profile")
     common(p)

@@ -234,6 +234,20 @@ def _transition_weights(g: SimpleGraph, d: int, direction: str) -> dict:
     return extension_profile(g, d)[1]
 
 
+def _weight_range(weights: dict) -> tuple:
+    """(min, max, number of moves at the max) of the move weights, in one
+    sweep; (None, 0, 0) when there is no move."""
+    mn, mx, ties = None, 0, 0
+    for w in weights.values():
+        if w > mx:
+            mx, ties = w, 1
+        elif w == mx:
+            ties += 1
+        if mn is None or w < mn:
+            mn = w
+    return mn, mx, ties
+
+
 def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str):
     """The literal process in either direction; returns (transcript, G).
 
@@ -248,7 +262,7 @@ def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str)
     t = 0
     for i in range(1, (params.steps_upper if delete else params.steps_lower) + 1):
         weights = _transition_weights(f, d, direction)
-        mx = max(weights.values(), default=0)
+        mn, mx, ties = _weight_range(weights)
         if mx <= 0:
             raise RuntimeError(f"{kind} process stalled: no move has positive weight")
         while True:
@@ -262,8 +276,7 @@ def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str)
         f = f.without_edge(*e) if delete else f.with_edge(*e)
         steps.append(TranscriptStep(
             stage=i, tape_index=t, edge=e, threshold=w / mx,
-            min_count=min(weights.values()), max_count=mx,
-            argmax_edges=sum(1 for c in weights.values() if c == mx),
+            min_count=mn, max_count=mx, argmax_edges=ties,
         ))
     assert is_regular(f, d)
     return ProcessTranscript(kind, n, d, steps, tuple(f.edges())), f

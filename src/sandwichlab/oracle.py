@@ -6,21 +6,30 @@ in increasing order, assigns each vertex's remaining incident edges as a
 subset of its still-available higher-indexed host neighbors, cutting
 branches whose residual degree exceeds the remaining candidates.  It
 memoizes on the residual-degree suffix, which turns the search tree into a
-DAG of states, and keeps every state and choice with a non-zero count.
-Counts read the DAG's total.  Per-edge profiles never list the subgraphs: a
-forward pass in topological order counts the paths into each state, and the
-subgraphs that choose an edge at a state number the state's paths times the
-completions below that choice.  Enumeration walks the DAG from its root, so
-it never enters a branch that completes no subgraph.
+DAG of states, and keeps every state's count and its choices with a
+non-zero count.  Counts read the DAG's total.  Per-edge profiles never list
+the subgraphs: a forward pass, level by level from the longest suffix down,
+counts the paths into each state, and the subgraphs that choose an edge at a
+state number the state's paths times the completions below that choice.
+Enumeration walks the DAG from its root, so it never enters a branch that
+completes no subgraph.
 
-Edge profiles are cached in an OracleCache, keyed by the host's
-isomorphism certificate (graphs.canonical_labeling): their counts are
-invariant under relabeling, and the coupled processes meet the same host up
-to relabeling at every stage of every trial (K_n - e, a single edge, ...).
-The entry holds the per-edge counts in canonical labels.  Counts are not
-cached: their callers ask for each host once, closed_form_class_laws for
-one canonical form per isomorphism class and stage, closed_form_law for
-each labeled edge subset.
+Edge profiles are cached in an OracleCache, keyed by the isomorphism
+certificate (graphs.canonical_labeling) of the searched graph, the host or
+the partial graph's complement: their counts are invariant under
+relabeling, and the coupled processes meet the same host up to relabeling
+at every stage of every trial (K_n - e, a single edge, ...).  A profile is
+searched on the certificate's rows, in canonical labels, and the entry holds
+its per-edge counts in those labels.  The cache also holds a bounded table
+of search states that every spanning-profile search reads and fills: a
+state's count and choices depend only on the subgraph induced on its suffix
+and its residual degrees, and canonical labels, which put low degrees first
+(McKay & Piperno, "Practical graph isomorphism II", 2014), make consecutive
+hosts of the deletion process share most of their suffixes.  Extension
+profiles, counts and enumeration search with a memo of their own per call.
+The callers of counts ask for each host once, closed_form_class_laws for one
+canonical form per isomorphism class and stage, closed_form_law for each
+labeled edge subset.
 """
 
 from __future__ import annotations
@@ -44,16 +53,36 @@ class CapacityError(RuntimeError):
 
 
 class OracleCache:
-    """Bounded LRU cache of edge profiles.
+    """Bounded LRU cache of edge profiles, and a bounded table of search states.
 
-    Keys are (n, certificate, d, family), the host's isomorphism class and
-    the name of the family searched ("_spanning" or "_completions"); each
-    entry holds the total and the per-edge counts in canonical labels.
+    Profile keys are (n, certificate, d, family): the isomorphism class of
+    the searched graph (the host for "_spanning", its complement for
+    "_completions") and the family's name.  Each entry holds the total and
+    the per-edge counts in canonical labels.  len, hits and misses count
+    these entries and their lookups only; maxsize bounds the entries.
+
+    The state table serves every spanning-profile search made through this
+    cache, on any host: it maps each induced suffix subgraph, as its rows
+    shifted down to bit 0 (tuple(adj[x] >> v for x in v..n)), to the dict
+    from residual suffixes to state entries that _search reads and fills.
+    states is the number of states it holds.  A search that leaves more
+    than max_states drops the whole table, so between searches it never
+    holds more (about 380 bytes a state at n=10, d=3).  clear() empties the
+    profiles, their counters and the table.
+
+    Extension profiles search with a memo of their own.  With the table, a
+    couple-lower pass of perfbench's lower-n8d3 (10 trials) takes 20-27 ms
+    of CPU, and perfbench cannot time a pass that short: its speed sampler
+    fires every 20 ms of CPU, and a pass without a sample stops the run.
     """
 
-    def __init__(self, maxsize: int = 200_000):
+    def __init__(self, maxsize: int = 200_000, max_states: int = 100_000):
         self.maxsize = maxsize
+        self.max_states = max_states
         self._data = OrderedDict()
+        self._suffixes = {}
+        self._combos = {}
+        self.states = 0
         self.hits = 0
         self.misses = 0
 
@@ -73,8 +102,27 @@ class OracleCache:
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
 
+    def search(self, adj, n: int, target):
+        """_private_search, but reading and filling the state table."""
+        keys = [tuple(adj[x] >> v for x in range(v, n + 1)) for v in range(1, n + 1)]
+        tables = [None] + [self._suffixes.setdefault(key, {}) for key in keys]
+        before = sum(map(len, tables[1:]))
+        total, root = _search(adj, n, target, tables, self._combos)
+        self.states += sum(map(len, tables[1:])) - before
+        for key, table in zip(keys, tables[1:]):
+            if not table:  # a suffix that no state of this search reached
+                del self._suffixes[key]
+        if self.states > self.max_states:
+            self._suffixes.clear()
+            self._combos.clear()
+            self.states = 0
+        return total, root, tables
+
     def clear(self):
         self._data.clear()
+        self._suffixes.clear()
+        self._combos.clear()
+        self.states = 0
         self.hits = 0
         self.misses = 0
 
@@ -90,129 +138,158 @@ def _check_capacity(n: int):
         raise CapacityError(f"n={n} exceeds exact-oracle ceiling {ORACLE_CEILING}")
 
 
-def _search(adj, n: int, target):
-    """(total, root, node, order) of the memoized search for the degree vector.
+def _search(adj, n: int, target, tables, combos):
+    """(total, root) of the memoized search for the degree vector.
 
     adj is 1-based bitmask rows, target is 1-based residual degrees.  A state
     is the residual-degree suffix res of vertices v..n, with res[0] > 0 and
     v = n + 1 - len(res); a choice gives v its res[0] edges to later
-    neighbors (combo holds the offsets j of the edges (v, v + j)).  node maps
-    each state with a non-zero count to its non-zero choices as
-    (combo, child, count), where child is None when the choice completes the
-    subgraph.  order lists those states in post-order (children first).  root
-    is None when no state is needed: the target is all zeros (total 1, the
-    empty subgraph) or infeasible (total 0).
+    neighbors (a combo holds the offsets j of the edges (v, v + j)).
+    tables[v] maps each state of vertex v to its entry (count, res, choices),
+    read and filled here.  choices is flat: for each choice with a non-zero
+    count, its combo and then its child state, None where the choice
+    completes the subgraph; each child is the res of the child's own entry,
+    so that entries share their key objects.  combos maps (candidates, need)
+    to their combinations, so that entries share their combo tuples too.
+    root is None when the total is 0, or when the target is all zeros
+    (total 1, the empty subgraph).
     """
     if any(t < 0 for t in target[1:]) or sum(target[1:]) % 2:
-        return 0, None, {}, []
-    memo = {}
-    node = {}
-    order = []
+        return 0, None
 
-    def rec(res: tuple) -> int:
-        # callers strip the leading zeros and look up memo first
-        v = n + 1 - len(res)
+    def rec(v: int, res: tuple) -> tuple:
+        # callers strip the leading zeros and look up tables[v] first
         need = res[0]
+        size = len(res)
         row = adj[v] >> v
-        cands = [j for j in range(1, len(res)) if res[j] and (row >> j) & 1]
+        cands = tuple(j for j in range(1, size) if res[j] and (row >> j) & 1)
         total = 0
         choices = []
         if len(cands) >= need:
             tail = list(res[1:])
-            size = len(tail)
-            for combo in combinations(cands, need):
+            last = size - 1
+            key = (cands, need)
+            options = combos.get(key)
+            if options is None:
+                options = combos[key] = tuple(combinations(cands, need))
+            for combo in options:
                 new = tail[:]
                 for j in combo:
                     new[j - 1] -= 1
                 k = 0
-                while k < size and not new[k]:
+                while k < last and not new[k]:
                     k += 1
-                if k == size:
+                if k == last:
                     child, c = None, 1
                 else:
-                    child = tuple(new[k:])
-                    c = memo.get(child)
-                    if c is None:
-                        c = rec(child)
+                    w = v + 1 + k
+                    suffix = tuple(new[k:])
+                    entry = tables[w].get(suffix)
+                    if entry is None:
+                        entry = rec(w, suffix)
+                    c, child, _ = entry
                     if not c:
                         continue
                 total += c
-                choices.append((combo, child, c))
-        memo[res] = total
-        if total:
-            node[res] = choices
-            order.append(res)
-        return total
+                choices += (combo, child)
+        entry = tables[v][res] = (total, res, tuple(choices))
+        return entry
 
     res = tuple(target[1:])
     k = 0
     while k < n and not res[k]:
         k += 1
     if k == n:
-        return 1, None, {}, []
+        return 1, None
     root = res[k:]
-    total = rec(root)
-    del rec  # rec's closure refers to itself; break the cycle so memo is freed now
-    return total, root, node, order
+    entry = tables[k + 1].get(root)
+    if entry is None:
+        entry = rec(k + 1, root)
+    del rec  # rec's closure refers to itself; break the cycle so it is freed now
+    total = entry[0]
+    return total, (root if total else None)
 
 
-def _profile(adj, n: int, target):
-    """(total, per-edge counts) over the spanning subgraphs matching the degrees.
+def _private_search(adj, n: int, target):
+    """(total, root, tables) of a search with a memo of its own.
 
-    Forward pass over the search DAG: in reverse post-order (parents before
-    children) each state pushes its path count to its children and adds
-    paths x count to each edge of each choice.  Edges carried by no subgraph
-    are absent.
+    One dict serves every vertex, since within one host len(res) fixes v.
     """
-    total, root, node, order = _search(adj, n, target)
+    tables = [{}] * (n + 1)
+    return (*_search(adj, n, target, tables, {}), tables)
+
+
+def _choices(entry):
+    """The (combo, child) pairs of a state entry."""
+    it = iter(entry[2])
+    return zip(it, it)
+
+
+def _profile(root, n: int, tables) -> dict:
+    """Per-edge counts over the subgraphs of the search DAG below root.
+
+    Forward pass, level by level from the longest suffix down (every choice
+    leads to a shorter one; entries found in earlier searches have no place
+    in this search's order): each state pushes its path count to its
+    children and adds paths x count to each edge of each choice.  Edges
+    carried by no subgraph are absent.
+    """
     tally = {}
-    paths = {root: 1}
-    for state in reversed(order):
-        p = paths.pop(state)
-        v = n + 1 - len(state)
-        for combo, child, c in node[state]:
-            if child is not None:
-                paths[child] = paths.get(child, 0) + p
-            pc = p * c
-            for j in combo:
-                e = (v, v + j)
-                tally[e] = tally.get(e, 0) + pc
-    return total, tally
+    if root is None:
+        return tally
+    levels = [{} for _ in range(len(root) + 1)]
+    levels[len(root)][root] = 1
+    for size in range(len(root), 0, -1):
+        v = n + 1 - size
+        table = tables[v]
+        for state, p in levels[size].items():
+            for combo, child in _choices(table[state]):
+                if child is None:
+                    pc = p
+                else:
+                    level = levels[len(child)]
+                    level[child] = level.get(child, 0) + p
+                    pc = p * tables[n + 1 - len(child)][child][0]
+                for j in combo:
+                    e = (v, v + j)
+                    tally[e] = tally.get(e, 0) + pc
+    return tally
 
 
-def _subgraphs(adj, n: int, target):
-    """Yield the edge list of every spanning subgraph matching the degrees.
+def _subgraphs(root, n: int, tables):
+    """Yield the edge list of every subgraph of the search DAG below root,
+    which is None for the empty subgraph alone.
 
-    Walks the search DAG from the root, so every branch entered ends in a
-    subgraph.
+    Walks from the root, so every branch entered ends in a subgraph.
     """
-    total, root, node, _ = _search(adj, n, target)
-
     def walk(state, edges):
         if state is None:
             yield edges
             return
         v = n + 1 - len(state)
-        for combo, child, _ in node[state]:
+        for combo, child in _choices(tables[v][state]):
             yield from walk(child, edges + [(v, v + j) for j in combo])
 
-    if total:
-        yield from walk(root, [])
+    yield from walk(root, [])
 
 
 # -- the two families a search runs over ----------------------------------------
 
 def _spanning(host: SimpleGraph, d: int):
-    """(adj, n, target) of the search for the d-regular spanning subgraphs of host."""
+    """(searched graph, target) for the d-regular spanning subgraphs of host."""
     _check_capacity(host.n)
-    return host.adj, host.n, [0] + [d] * host.n
+    return host, [0] + [d] * host.n
 
 
 def _completions(f: SimpleGraph, d: int):
-    """(adj, n, target) of the search for the edge sets completing f to a
-    d-regular graph: subgraphs of the complement meeting the residual degrees."""
+    """(searched graph, target) for the edge sets completing f to a d-regular
+    graph: subgraphs of the complement meeting the residual degrees."""
     _check_capacity(f.n)
-    return complement(f).adj, f.n, [0] + [d - f.degree(v) for v in f.vertices()]
+    return complement(f), [0] + [d - f.degree(v) for v in f.vertices()]
+
+
+def _count(g: SimpleGraph, target) -> int:
+    return _private_search(g.adj, g.n, target)[0]
 
 
 # -- counting operations -------------------------------------------------------
@@ -224,7 +301,7 @@ def count_regular_spanning_subgraphs(host: SimpleGraph, d: int) -> int:
     """
     if not 0 <= d <= host.n - 1 and d != 0:
         return 0
-    return _search(*_spanning(host, d))[0]
+    return _count(*_spanning(host, d))
 
 
 def count_with_edge(host: SimpleGraph, d: int, e) -> int:
@@ -232,10 +309,10 @@ def count_with_edge(host: SimpleGraph, d: int, e) -> int:
     u, v = checked_pair(host, e)
     if not host.has_edge(u, v):
         raise ValueError(f"edge {u}-{v} not in host")
-    adj, n, target = _spanning(host.without_edge(u, v), d)
+    g, target = _spanning(host.without_edge(u, v), d)
     target[u] -= 1
     target[v] -= 1
-    return _search(adj, n, target)[0]
+    return _count(g, target)
 
 
 def count_extensions(f: SimpleGraph, d: int) -> int:
@@ -244,7 +321,7 @@ def count_extensions(f: SimpleGraph, d: int) -> int:
     Searched directly over completions (subgraphs of the complement meeting the
     residual degree vector); does not delegate to the complement-count dual.
     """
-    return _search(*_completions(f, d))[0]
+    return _count(*_completions(f, d))
 
 
 def count_extensions_with_edge(f: SimpleGraph, d: int, e) -> int:
@@ -257,10 +334,12 @@ def count_extensions_with_edge(f: SimpleGraph, d: int, e) -> int:
 
 # -- enumeration ---------------------------------------------------------------
 
-def _enumerate(base: list, adj, n: int, target):
-    """Every graph base + S over the subgraphs S the search finds, in
+def _enumerate(base: list, g: SimpleGraph, target):
+    """Every graph base + S over the subgraphs S of g the search finds, in
     canonical_key order."""
-    found = [SimpleGraph(n, base + edges) for edges in _subgraphs(adj, n, target)]
+    total, root, tables = _private_search(g.adj, g.n, target)
+    found = [SimpleGraph(g.n, base + edges)
+             for edges in _subgraphs(root, g.n, tables)] if total else []
     found.sort(key=canonical_key)
     yield from found
 
@@ -279,25 +358,32 @@ def enumerate_extensions(f: SimpleGraph, d: int):
 
 def _profile_entry(g: SimpleGraph, d: int, family, cache):
     """Profile over the family (_spanning or _completions) of g, from the
-    cache entry of g's isomorphism class.
+    cache entry of the searched graph's isomorphism class.
 
-    The entry holds the per-edge counts in canonical labels.  A miss computes
-    the profile on g itself and stores it relabeled; a hit maps the stored
-    counts back through the inverse relabeling.  Either way the per-edge
-    dict is a fresh one, sorted by edge.
+    A miss searches the certificate's rows, with the target moved to
+    canonical labels, and stores the per-edge counts in those labels.  Every
+    call, miss or hit, maps them back through the inverse relabeling into a
+    fresh dict sorted by edge.
     """
     _check_capacity(g.n)  # before labeling g, which is slow on a graph this large
     cache = DEFAULT_CACHE if cache is None else cache
-    cert, relabel = canonical_labeling(g)
-    key = (g.n, cert, d, family.__name__)
-    hit = cache.get(key)
-    if hit is None:
-        total, tally = _profile(*family(g, d))
-        cache.put(key, (total, {_relabel(relabel, e): c for e, c in tally.items()}))
-        return total, dict(sorted(tally.items()))
-    total, canonical_tally = hit
-    inverse = [0] * (g.n + 1)
-    for v in g.vertices():
+    n = g.n
+    searched, target = family(g, d)
+    cert, relabel = canonical_labeling(searched)
+    key = (n, cert, d, family.__name__)
+    entry = cache.get(key)
+    if entry is None:
+        canonical_target = [0] * (n + 1)
+        for v in range(1, n + 1):
+            canonical_target[relabel[v]] = target[v]
+        # only spanning profiles share the state table (see OracleCache)
+        search = cache.search if family is _spanning else _private_search
+        total, root, tables = search(cert, n, canonical_target)
+        entry = (total, _profile(root, n, tables))
+        cache.put(key, entry)
+    total, canonical_tally = entry
+    inverse = [0] * (n + 1)
+    for v in range(1, n + 1):
         inverse[relabel[v]] = v
     return total, dict(sorted((_relabel(inverse, e), c)
                               for e, c in canonical_tally.items()))

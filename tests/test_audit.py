@@ -230,6 +230,14 @@ def test_connection_without_samples_names_exhaustive_n():
     assert report.notes == "vacuous: n=10 is above exhaustive_n=8 and samples 0"
 
 
+def test_uv_distribution_floor_above_n_skips_sampling():
+    k = random_regular_graph(10, 3, random.Random(57))
+    report = check_uv_distribution(k, 3, size_floor=11, samples=1,
+                                   rng=random.Random(0))
+    assert report.instances == 0
+    assert report.notes == "vacuous: floor 11 exceeds n=10"
+
+
 def test_connection_witness_reevaluates():
     k, f, delta_unused = _planted_pair(49, n=8, d=3, m=8)
     report = check_connection(f, k, lam=0.5, size_floor=2)

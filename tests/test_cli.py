@@ -108,6 +108,33 @@ def test_audit_vacuous_note_names_the_real_reason(capsys):
                                "than 4096 pairs and samples 0")
 
 
+def _audit_report(capsys, *argv):
+    code, out = _run(["audit", "--d", "3", *argv], capsys)
+    assert code == 0
+    return json.loads(out)["results"]["report"]
+
+
+def test_audit_passes_size_cap_and_samples_to_every_checker(capsys):
+    capped = _audit_report(capsys, "--property", "local-density", "--n", "8",
+                           "--m", "6", "--size-cap", "1", "--samples", "5")
+    assert capped["params"]["size_cap"] == 1
+    assert capped["instances"] == 8  # the singletons
+    sampled = _audit_report(capsys, "--property", "local-density", "--n", "8",
+                            "--m", "6", "--size-cap", "4", "--samples", "5")
+    assert sampled["instances"] == 8 + 28 + 5  # sets up to enum_cap 2, then samples
+    # n=10 is above exhaustive_n, so every instance is a sampled pair
+    connection = _audit_report(capsys, "--property", "connection", "--n", "10",
+                               "--m", "10", "--samples", "7")
+    assert connection["instances"] == 7
+
+
+def test_audit_connection_floor_above_half_n_is_vacuous(capsys):
+    report = _audit_report(capsys, "--property", "connection", "--n", "10",
+                           "--m", "10", "--size-floor", "6")
+    assert report["instances"] == 0
+    assert report["notes"] == "vacuous: no disjoint pair meets the floor"
+
+
 def test_tiny_tau_floor_is_refused_at_the_tape_bound(capsys):
     start = time.perf_counter()
     assert main(["couple-upper", "--n", "8", "--d", "3", "--tau-floor", "1e-9",

@@ -262,10 +262,119 @@ def test_cache_hits_and_bound():
     assert len(cache) <= 4
 
 
+def _brute_force_profile(profile, g, d):
+    """(total, per-edge counts) of the profile by filtering edge subsets."""
+    n = g.n
+    if profile is spanning_profile:
+        pairs, target = g.edges(), [0] + [d] * n
+    else:
+        pairs = complement(g).edges()
+        target = [0] + [d - g.degree(v) for v in g.vertices()]
+    found = brute_force_subgraphs(n, pairs, target)
+    tally = {}
+    for chosen in found:
+        for e in chosen:
+            tally[e] = tally.get(e, 0) + 1
+    return len(found), dict(sorted(tally.items()))
+
+
+@st.composite
+def _profile_queries(draw):
+    """Profile queries on small searched graphs (at most 14 edges, so the
+    brute force stays cheap), some of them relabeled copies of earlier ones
+    or one move away from the last.
+    The searched graph is the host of a spanning profile and the complement
+    of an extension profile's partial graph."""
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        step = draw(st.sampled_from(("new", "relabel", "move"))) if queries else "new"
+        if step == "relabel":
+            profile, g, d = draw(st.sampled_from(queries))
+            perm = (0, *draw(st.permutations(range(1, g.n + 1))))
+            g = SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        elif step == "move":
+            # a move of the coupled processes: delete a host edge, or add a
+            # non-edge to the partial graph
+            profile, g, d = queries[-1]
+            searched = g if profile is spanning_profile else complement(g)
+            if not searched.edge_count():
+                continue
+            u, v = draw(st.sampled_from(searched.edges()))
+            g = g.without_edge(u, v) if profile is spanning_profile else g.with_edge(u, v)
+        else:
+            n = draw(st.integers(1, 8))
+            # a Hamiltonian cycle plus random pairs, so that 2-regular
+            # subgraphs exist and most queries have something to count
+            order = draw(st.permutations(range(1, n + 1)))
+            edges = list(zip(order, order[1:] + order[:1])) if n >= 3 else []
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            if pairs:
+                edges += draw(st.lists(st.sampled_from(pairs), max_size=14 - len(edges)))
+            searched = SimpleGraph(n, edges)
+            profile = draw(st.sampled_from((spanning_profile, extension_profile)))
+            g = searched if profile is spanning_profile else complement(searched)
+            d = draw(st.integers(0, n - 1))
+        queries.append((profile, g, d))
+    return queries
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(queries=_profile_queries())
+def test_warm_cache_serves_interleaved_profiles(queries):
+    """One cache, its state table shared by every search, answers each query
+    as a cold cache and the brute force do."""
+    warm = OracleCache()
+    for profile, g, d in queries:
+        total, tally = profile(g, d, cache=warm)
+        cold_total, cold_tally = profile(g, d, cache=OracleCache())
+        assert total == cold_total
+        assert list(tally.items()) == list(cold_tally.items())
+        assert (total, tally) == _brute_force_profile(profile, g, d)
+
+
+def _upper_walk(n, d, rng):
+    """The hosts K_n, K_n - e1, ... of a deletion walk down to dn/2 edges."""
+    g = complete_graph(n)
+    while g.edge_count() > n * d // 2:
+        yield g
+        g = g.without_edge(*rng.choice(g.edges()))
+
+
+def test_clear_empties_profiles_and_states():
+    cache = OracleCache()
+    for g in _upper_walk(7, 2, random.Random(17)):
+        spanning_profile(g, 2, cache=cache)
+        extension_profile(complement(g), 2, cache=cache)
+    spanning_profile(complete_graph(7), 2, cache=cache)
+    assert len(cache) and cache.hits and cache.misses and cache.states
+    cache.clear()
+    assert (len(cache), cache.hits, cache.misses, cache.states) == (0, 0, 0, 0)
+    assert not cache._suffixes
+
+
+def test_state_budget_is_kept_and_answers_survive_the_drop():
+    budget = 40
+    cache = OracleCache(max_states=budget)
+    rng = random.Random(18)
+    drops = 0
+    for n, d in ((8, 3), (7, 2), (8, 2), (6, 3)):
+        for g in _upper_walk(n, d, rng):
+            for profile, host in ((spanning_profile, g),
+                                  (extension_profile, complement(g))):
+                before = cache.states
+                assert profile(host, d, cache=cache) == \
+                    profile(host, d, cache=OracleCache())
+                assert cache.states <= budget
+                assert cache.states == sum(map(len, cache._suffixes.values()))
+                drops += cache.states < before
+    assert drops
+
+
 def test_counts_bypass_the_cache():
     """Only edge profiles are cached: counts and the closed-form laws built
-    from them neither read nor fill DEFAULT_CACHE."""
-    state = lambda: (len(DEFAULT_CACHE), DEFAULT_CACHE.hits, DEFAULT_CACHE.misses)
+    from them neither read nor fill DEFAULT_CACHE, its state table included."""
+    state = lambda: (len(DEFAULT_CACHE), DEFAULT_CACHE.hits, DEFAULT_CACHE.misses,
+                     DEFAULT_CACHE.states)
     before = state()
     params = ModelParams(n=5, d=2)
     for direction in ("delete", "add"):
