@@ -46,6 +46,7 @@ from .graphs import (
 )
 
 ORACLE_CEILING = 24
+MAX_STATES = 100_000  # an OracleCache's state table is dropped past this many states
 
 
 class CapacityError(RuntimeError):
@@ -62,23 +63,20 @@ class OracleCache:
     these entries and their lookups only; maxsize bounds the entries.
 
     The state table serves every spanning-profile search made through this
-    cache, on any host: it maps each induced suffix subgraph, as its rows
-    shifted down to bit 0 (tuple(adj[x] >> v for x in v..n)), to the dict
-    from residual suffixes to state entries that _search reads and fills.
-    states is the number of states it holds.  A search that leaves more
-    than max_states drops the whole table, so between searches it never
-    holds more (about 380 bytes a state at n=10, d=3).  clear() empties the
-    profiles, their counters and the table.
-
-    Extension profiles search with a memo of their own.  With the table, a
-    couple-lower pass of perfbench's lower-n8d3 (10 trials) takes 20-27 ms
-    of CPU, and perfbench cannot time a pass that short: its speed sampler
-    fires every 20 ms of CPU, and a pass without a sample stops the run.
+    cache, on any host: it maps each induced suffix subgraph of vertices
+    v..n, as the rows adj[x] >> x of its vertices (each vertex's edges to
+    later ones), to the dict from residual suffixes to state entries that
+    _search reads and fills.  states is the number of states it holds.  A
+    search that leaves more than MAX_STATES drops the whole table, so
+    between searches it never holds more (about 380 bytes a state at n=10,
+    d=3).  The entries share their combo tuples, one per distinct
+    (candidates, need).  clear() empties the profiles, their counters and
+    the table.  Extension profiles search with a memo of their own for now
+    (ROADMAP item 6).
     """
 
-    def __init__(self, maxsize: int = 200_000, max_states: int = 100_000):
+    def __init__(self, maxsize: int = 200_000):
         self.maxsize = maxsize
-        self.max_states = max_states
         self._data = OrderedDict()
         self._suffixes = {}
         self._combos = {}
@@ -104,19 +102,28 @@ class OracleCache:
 
     def search(self, adj, n: int, target):
         """_private_search, but reading and filling the state table."""
-        keys = [tuple(adj[x] >> v for x in range(v, n + 1)) for v in range(1, n + 1)]
+        rows = tuple([adj[x] >> x for x in range(1, n + 1)])
+        keys = [rows[v - 1:] for v in range(1, n + 1)]
         tables = [None] + [self._suffixes.setdefault(key, {}) for key in keys]
         before = sum(map(len, tables[1:]))
-        total, root = _search(adj, n, target, tables, self._combos)
+        total, root = _search(adj, n, target, tables, self._options)
         self.states += sum(map(len, tables[1:])) - before
         for key, table in zip(keys, tables[1:]):
             if not table:  # a suffix that no state of this search reached
                 del self._suffixes[key]
-        if self.states > self.max_states:
+        if self.states > MAX_STATES:
             self._suffixes.clear()
             self._combos.clear()
             self.states = 0
         return total, root, tables
+
+    def _options(self, cands: list, need: int) -> tuple:
+        """combinations(cands, need), one tuple per distinct argument pair."""
+        key = (tuple(cands), need)
+        options = self._combos.get(key)
+        if options is None:
+            options = self._combos[key] = tuple(combinations(cands, need))
+        return options
 
     def clear(self):
         self._data.clear()
@@ -138,7 +145,7 @@ def _check_capacity(n: int):
         raise CapacityError(f"n={n} exceeds exact-oracle ceiling {ORACLE_CEILING}")
 
 
-def _search(adj, n: int, target, tables, combos):
+def _search(adj, n: int, target, tables, options):
     """(total, root) of the memoized search for the degree vector.
 
     adj is 1-based bitmask rows, target is 1-based residual degrees.  A state
@@ -149,8 +156,8 @@ def _search(adj, n: int, target, tables, combos):
     read and filled here.  choices is flat: for each choice with a non-zero
     count, its combo and then its child state, None where the choice
     completes the subgraph; each child is the res of the child's own entry,
-    so that entries share their key objects.  combos maps (candidates, need)
-    to their combinations, so that entries share their combo tuples too.
+    so that entries share their key objects.  options(candidates, need)
+    iterates over the combos, as combinations does.
     root is None when the total is 0, or when the target is all zeros
     (total 1, the empty subgraph).
     """
@@ -162,17 +169,13 @@ def _search(adj, n: int, target, tables, combos):
         need = res[0]
         size = len(res)
         row = adj[v] >> v
-        cands = tuple(j for j in range(1, size) if res[j] and (row >> j) & 1)
+        cands = [j for j in range(1, size) if res[j] and (row >> j) & 1]
         total = 0
         choices = []
         if len(cands) >= need:
             tail = list(res[1:])
             last = size - 1
-            key = (cands, need)
-            options = combos.get(key)
-            if options is None:
-                options = combos[key] = tuple(combinations(cands, need))
-            for combo in options:
+            for combo in options(cands, need):
                 new = tail[:]
                 for j in combo:
                     new[j - 1] -= 1
@@ -211,12 +214,13 @@ def _search(adj, n: int, target, tables, combos):
 
 
 def _private_search(adj, n: int, target):
-    """(total, root, tables) of a search with a memo of its own.
+    """(total, root, tables) of a search with a memo of its own, and its
+    combos straight from combinations.
 
     One dict serves every vertex, since within one host len(res) fixes v.
     """
     tables = [{}] * (n + 1)
-    return (*_search(adj, n, target, tables, {}), tables)
+    return (*_search(adj, n, target, tables, combinations), tables)
 
 
 def _choices(entry):

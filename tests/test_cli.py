@@ -126,6 +126,12 @@ def test_audit_passes_size_cap_and_samples_to_every_checker(capsys):
     connection = _audit_report(capsys, "--property", "connection", "--n", "10",
                                "--m", "10", "--samples", "7")
     assert connection["instances"] == 7
+    # F\K with 100 edges at n=20: pools of two-vertex U' pass pool_cap and are
+    # sampled, --samples times each
+    expansion = [_audit_report(capsys, "--property", "expansion-k", "--n", "20",
+                               "--m", "100", "--size-cap", "5", "--samples", s)
+                 ["instances"] for s in ("0", "1", "3")]
+    assert expansion[2] - expansion[0] == 3 * (expansion[1] - expansion[0]) > 0
 
 
 def test_audit_connection_floor_above_half_n_is_vacuous(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sandwichlab import oracle
 from sandwichlab.coupling import ModelParams, closed_form_law
 from sandwichlab.graphs import (
     SimpleGraph,
@@ -352,9 +353,10 @@ def test_clear_empties_profiles_and_states():
     assert not cache._suffixes
 
 
-def test_state_budget_is_kept_and_answers_survive_the_drop():
+def test_state_budget_is_kept_and_answers_survive_the_drop(monkeypatch):
     budget = 40
-    cache = OracleCache(max_states=budget)
+    monkeypatch.setattr(oracle, "MAX_STATES", budget)
+    cache = OracleCache()
     rng = random.Random(18)
     drops = 0
     for n, d in ((8, 3), (7, 2), (8, 2), (6, 3)):
