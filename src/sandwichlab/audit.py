@@ -91,6 +91,12 @@ def _require_subgraph(k: SimpleGraph, f: SimpleGraph):
         raise ValueError("K must be a subgraph of F")
 
 
+def _require_floor(size_floor):
+    """A set below one vertex would put 0 in the density ratio's denominator."""
+    if size_floor < 1:
+        raise ValueError(f"size floor must be at least 1, got {size_floor}")
+
+
 # -- degree properties ---------------------------------------------------------
 
 def _degree_band(property_id, params, g: SimpleGraph, lo, hi) -> PropertyReport:
@@ -195,7 +201,8 @@ def _check_expansion(property_id, f, k, counts_k, ratio, ratio_name, factor,
     and the c_x over x in U count each inside edge from both ends, so the
     statistic is the sum of c_y over outside y with c_y >= 2 plus half the sum
     of c_x over x in U.  It depends on U alone, and many pairs share one U, so
-    it is computed once per set within a call.
+    it is kept per U tuple within a call (a sampled U in another order is
+    computed again).
     """
     _require_subgraph(k, f)
     if size_cap < 1:
@@ -208,10 +215,9 @@ def _check_expansion(property_id, f, k, counts_k, ratio, ratio_name, factor,
         statistics = {}
         for uprime, u in _witnessed_sets(carrier.adj, f.n, witness_cap, ratio / 4,
                                          size_cap, pool_cap, samples, rng):
-            umask = vertex_mask(u)
-            stat = statistics.get(umask)
+            stat = statistics.get(u)
             if stat is None:
-                stat = statistics[umask] = _expansion_statistic(counted, umask)
+                stat = statistics[u] = _expansion_statistic(counted, vertex_mask(u))
             yield factor * len(u) - stat, (uprime, u)
 
     return _worst(property_id, params, instances(),
@@ -313,6 +319,7 @@ def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
     delta = 2 * fk.edge_count() / n
     if size_floor is None:
         size_floor = max(1, math.ceil(lam * n / 1e8))
+    _require_floor(size_floor)
     params = {"lam": lam, "size_floor": size_floor, "delta": delta}
     if delta == 0:
         return _vacuous("connection", params, "F\\K has no edges")
@@ -361,6 +368,7 @@ def check_uv_distribution(k: SimpleGraph, d: int, size_floor: int = None,
     n = k.n
     if size_floor is None:
         size_floor = math.ceil(n ** 0.98)
+    _require_floor(size_floor)
     if tolerance is None:
         tolerance = n ** -0.01
     params = {"d": d, "size_floor": size_floor, "tolerance": tolerance}

@@ -132,11 +132,19 @@ class SimpleGraph:
         return f"SimpleGraph({format_graph_literal(self)!r})"
 
 
-def _bits(mask: int):
+@lru_cache(maxsize=1 << 16)
+def _bits(mask: int) -> tuple:
+    """The set bits of mask in ascending order, as a cached tuple.
+
+    The walks call this on the same few row masks over and over, so the
+    tuples are kept, at most 2**16 of them (least recently used dropped).
+    """
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def vertex_mask(vertices) -> int:
@@ -276,17 +284,26 @@ def toggle(g: SimpleGraph, cycle) -> SimpleGraph:
     return SimpleGraph._from_rows(g.n, rows)
 
 
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple:
+    """bit[u][w] == bit[w][u]: the pair uw's bit in edge_mask's layout,
+    which numbers the pairs in pair_list order."""
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, w) in enumerate(pair_list(n)):
+        bit[u][w] = bit[w][u] = 1 << i
+    return tuple(map(tuple, bit))
+
+
 def toggled_key(key, cycle):
     """canonical_key(toggle(g, cycle)) from key == canonical_key(g).
 
-    In edge_mask's layout the pair (u, w), u < w, is bit
-    (u - 1)(2n - u)/2 + w - u - 1: the rows before u hold that many pairs.
+    Each pair of the cycle XORs its bit from the per-n table _pair_bits.
     """
     n, mask = key
+    bit = _pair_bits(n)
     prev = cycle[-1]
     for v in cycle:
-        u, w = (prev, v) if prev < v else (v, prev)
-        mask ^= 1 << ((u - 1) * (2 * n - u) // 2 + w - u - 1)
+        mask ^= bit[prev][v]
         prev = v
     return (n, mask)
 

@@ -41,9 +41,17 @@ def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
 
     Edge j uses odd_rows for odd j and even_rows for even j.  Intermediate
     vertices avoid avoid_mask; the final vertex must be y when y is given,
-    otherwise it is any vertex outside avoid_mask.
+    otherwise it is any vertex outside avoid_mask.  The rows must be
+    symmetric (w in rows[v] iff v in rows[w]): with y given, y is kept out of
+    the intermediate vertices and the vertex before it is drawn from y's own
+    row of the last edge's set, so no branch is entered that cannot end at y.
     """
     path = [x]
+    # allowed[j]: where the vertex reached by edge j may lie, besides unvisited
+    allowed = [~avoid_mask] * (length + 1)
+    if y is not None:
+        allowed = [~(avoid_mask | (1 << y))] * length
+        allowed[-1] &= (odd_rows if length & 1 else even_rows)[y]
 
     def rec(v, visited, j):
         row = odd_rows[v] if j & 1 else even_rows[v]
@@ -54,12 +62,12 @@ def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
                     yield tuple(path)
                     path.pop()
             else:
-                for w in _bits(row & ~visited & ~avoid_mask):
+                for w in _bits(row & ~visited & allowed[j]):
                     path.append(w)
                     yield tuple(path)
                     path.pop()
             return
-        for w in _bits(row & ~visited & ~avoid_mask):
+        for w in _bits(row & ~visited & allowed[j]):
             path.append(w)
             yield from rec(w, visited | (1 << w), j + 1)
             path.pop()
@@ -273,39 +281,56 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     In one-in mode v1 is its only W' vertex and the walk must leave it along
     the one cycle edge at v1 that is in `first`, so the start is already
     unique.
+
+    The walk is pruned from its closing end: for each v1 the vertices v6 may
+    take (in second[v1], outside W', and in one-in mode within the W'-degree
+    bound) give reach5, every vertex with a `first` edge to one of them, and
+    reach4, every vertex with a `second` edge into reach5.  The rows are
+    symmetric, so v5 and v4 outside these masks could not close the cycle;
+    the masks drop only such branches, and the cycles come in the same order
+    as from the unpruned walk.
     """
     n = k.n
     adj = k.adj
     full = (1 << (n + 1)) - 2
     non = [0] + [(full & ~adj[v]) & ~(1 << v) for v in range(1, n + 1)]
     first, second = (adj, non) if not reverse else (non, adj)
-    # one-in bounds on the W'-degrees of v2 (at least) and v6 (at most)
-    min2, max6 = (1, 1) if reverse else (2, 0)
+    outside = full & ~wmask
     if mode == "two-in":
-        starts = [(v1, v2) for v1 in range(1, n + 1) if (wmask >> v1) & 1
-                  for v2 in _bits(first[v1] & wmask) if v2 > v1]
+        ends = outside
     elif mode == "one-in":
-        starts = [(v1, v2) for v1 in range(1, n + 1) if (wmask >> v1) & 1
-                  for v2 in _bits(first[v1] & ~wmask)]
+        # one-in bounds on the W'-degrees of v2 (at least) and v6 (at most)
+        min2, max6 = (1, 1) if reverse else (2, 0)
+        wdeg = [(row & wmask).bit_count() for row in adj]
+        ends = outside & vertex_mask(v for v in range(1, n + 1)
+                                     if wdeg[v] <= max6)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for v1, v2 in starts:
-        if mode == "one-in" and (adj[v2] & wmask).bit_count() < min2:
+    for v1 in _bits(wmask & full):
+        if mode == "two-in":
+            v2s = [v2 for v2 in _bits(first[v1] & wmask) if v2 > v1]
+        else:
+            v2s = [v2 for v2 in _bits(first[v1] & outside) if wdeg[v2] >= min2]
+        ends6 = second[v1] & ends
+        if not (v2s and ends6):
             continue
-        used12 = (1 << v1) | (1 << v2)
-        for v3 in _bits(second[v2] & ~wmask & ~used12):
-            used3 = used12 | (1 << v3)
-            for v4 in _bits(first[v3] & ~wmask & ~used3):
-                used4 = used3 | (1 << v4)
-                for v5 in _bits(second[v4] & ~wmask & ~used4):
-                    used5 = used4 | (1 << v5)
-                    for v6 in _bits(first[v5] & ~wmask & ~used5):
-                        if not (second[v6] >> v1) & 1:
-                            continue
-                        if (mode == "one-in"
-                                and (adj[v6] & wmask).bit_count() > max6):
-                            continue
-                        yield (v1, v2, v3, v4, v5, v6)
+        reach5 = 0
+        for v6 in _bits(ends6):
+            reach5 |= first[v6]
+        reach5 &= outside
+        reach4 = 0
+        for v5 in _bits(reach5):
+            reach4 |= second[v5]
+        reach4 &= outside
+        for v2 in v2s:
+            used12 = (1 << v1) | (1 << v2)
+            for v3 in _bits(second[v2] & outside & ~used12):
+                used3 = used12 | (1 << v3)
+                for v4 in _bits(first[v3] & reach4 & ~used3):
+                    used4 = used3 | (1 << v4)
+                    for v5 in _bits(second[v4] & reach5 & ~used4):
+                        for v6 in _bits(first[v5] & ends6 & ~(used4 | (1 << v5))):
+                            yield (v1, v2, v3, v4, v5, v6)
 
 
 def six_cycle_switches(k: SimpleGraph, wprime, mode: str,

@@ -5,13 +5,15 @@ subgraphs with a given degree vector come from filtering raw edge-subset
 combinations, path counts from a layered meet-in-the-middle join instead of
 depth-first search, expansion statistics from the edge sets of `graphs`
 instead of popcounts, six-cycle switchings from every ordered vertex
-6-tuple instead of a pruned walk, and auxiliary switching graphs by building
-and keying every switched graph instead of toggling keys, and the labeled
-members of an isomorphism class from every vertex permutation instead of
-double counting.
+6-tuple instead of a pruned walk, two-path switchings from every vertex
+sequence with the cycle's shape instead of a depth-first walk over bit rows,
+auxiliary switching graphs by building and keying every switched graph
+instead of toggling keys, and the labeled members of an isomorphism class
+from every vertex permutation instead of double counting.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from sandwichlab.audit import _witnessed_sets
@@ -161,6 +163,30 @@ def expansion_report(f, k, counts_k, lam, delta, d, size_cap,
             "witness": sorted(sorted(part) for part in witness), "notes": ""}
 
 
+@lru_cache(maxsize=16)
+def _alternating_six_tuples(k, reverse):
+    """Every ordered 6-tuple v1..v6 of distinct vertices with v1v2, v3v4, v5v6
+    in `first` (K, or the non-edges when reverse) and v2v3, v4v5, v6v1 in
+    `second`, with its six pairs."""
+    edge = {canonical_pair(u, v) for u, v in k.edges()}
+    out = []
+    for cyc in permutations(range(1, k.n + 1), 6):
+        pairs = [canonical_pair(cyc[i], cyc[(i + 1) % 6]) for i in range(6)]
+        if all(((p in edge) != reverse) == (i % 2 == 0)
+               for i, p in enumerate(pairs)):
+            out.append((cyc, pairs))
+    return out
+
+
+def _switched_rows(k, pairs):
+    """Adjacency rows of K with every pair in `pairs` flipped."""
+    rows = list(k.adj)
+    for u, v in pairs:
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return tuple(rows)
+
+
 def six_cycle_switch_graphs(k, wprime, mode, reverse=False):
     """Edge rows of every graph six_cycle_switches should return, one per cycle.
 
@@ -172,20 +198,13 @@ def six_cycle_switch_graphs(k, wprime, mode, reverse=False):
     neighbors in W' and z has 0 (forward) or <= 1 (reverse).
     Cycles are kept once each by their edge set.
     """
-    n = k.n
     edge = {canonical_pair(u, v) for u, v in k.edges()}
-
-    def in_first(u, v):
-        return (canonical_pair(u, v) in edge) != reverse
 
     def deg_in(v):
         return sum(1 for w in wprime if canonical_pair(v, w) in edge)
 
     cycles = {}
-    for cyc in permutations(range(1, n + 1), 6):
-        pairs = [canonical_pair(cyc[i], cyc[(i + 1) % 6]) for i in range(6)]
-        if not all(in_first(*pairs[i]) == (i % 2 == 0) for i in range(6)):
-            continue
+    for cyc, pairs in _alternating_six_tuples(k, reverse):
         inside = [v in wprime for v in cyc]
         if mode == "two-in":
             ok = inside == [True, True, False, False, False, False]
@@ -197,13 +216,36 @@ def six_cycle_switch_graphs(k, wprime, mode, reverse=False):
                   and deg_in(cyc[5]) == 0)
         if ok:
             cycles.setdefault(frozenset(pairs), pairs)
+    return [_switched_rows(k, pairs) for pairs in cycles.values()]
+
+
+def two_path_switch_graphs(k, odd, even, e, f_edge, length):
+    """Edge rows of every graph a two-path switching of K gives, one per cycle.
+
+    odd and even are edge sets of canonical pairs.  Every sequence of distinct
+    vertices u1, a_1, ..., a_{length-1}, w1 and u2, b_1, ..., b_{length-1},
+    w2, with e = u1u2 and {w1, w2} = f's endpoints in either order, is tried
+    as the two paths, each pair checked against odd (edges 1, 3, ...) or even
+    (edges 2, 4, ...); a pair of paths that passes flips both paths, e and f.
+    """
+    u1, u2 = e
+    inner = length - 1
+    rest = [v for v in range(1, k.n + 1) if v not in (*e, *f_edge)]
+
+    def alternates(path):
+        return all(canonical_pair(a, b) in (odd if j % 2 else even)
+                   for j, (a, b) in enumerate(zip(path, path[1:]), 1))
+
     out = []
-    for pairs in cycles.values():
-        rows = list(k.adj)
-        for u, v in pairs:
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-        out.append(tuple(rows))
+    for w1, w2 in (f_edge, f_edge[::-1]):
+        for middle in permutations(rest, 2 * inner):
+            p1 = (u1, *middle[:inner], w1)
+            p2 = (u2, *middle[inner:], w2)
+            if alternates(p1) and alternates(p2):
+                pairs = [canonical_pair(a, b) for path in (p1, p2)
+                         for a, b in zip(path, path[1:])]
+                out.append(_switched_rows(k, pairs + [canonical_pair(*e),
+                                                      canonical_pair(*f_edge)]))
     return out
 
 

@@ -238,6 +238,17 @@ def test_uv_distribution_floor_above_n_skips_sampling():
     assert report.notes == "vacuous: floor 11 exceeds n=10"
 
 
+@pytest.mark.parametrize("floor", [0, -1])
+def test_size_floor_below_one_is_refused(floor):
+    # a set of size 0 would reach the density ratio's denominator
+    k, f, delta_unused = _planted_pair(58, n=10, d=3, m=10)
+    with pytest.raises(ValueError, match="size floor must be at least 1"):
+        check_connection(f, k, 0.5, size_floor=floor, rng=random.Random(0))
+    with pytest.raises(ValueError, match="size floor must be at least 1"):
+        check_uv_distribution(k, 3, size_floor=floor, samples=50,
+                              rng=random.Random(0))
+
+
 def test_connection_witness_reevaluates():
     k, f, delta_unused = _planted_pair(49, n=8, d=3, m=8)
     report = check_connection(f, k, lam=0.5, size_floor=2)

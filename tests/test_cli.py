@@ -141,6 +141,16 @@ def test_audit_connection_floor_above_half_n_is_vacuous(capsys):
     assert report["notes"] == "vacuous: no disjoint pair meets the floor"
 
 
+@pytest.mark.parametrize("prop, extra", [("connection", []),
+                                         ("uv-distribution", ["--samples", "50"])])
+@pytest.mark.parametrize("floor", ["0", "-1"])
+def test_audit_size_floor_below_one_is_an_error(capsys, prop, extra, floor):
+    code = main(["audit", "--property", prop, "--n", "10", "--d", "3",
+                 "--m", "10", "--size-floor", floor, *extra])
+    assert code == 2
+    assert "error: size floor must be at least 1" in capsys.readouterr().err
+
+
 def test_tiny_tau_floor_is_refused_at_the_tape_bound(capsys):
     start = time.perf_counter()
     assert main(["couple-upper", "--n", "8", "--d", "3", "--tau-floor", "1e-9",

@@ -29,6 +29,7 @@ from sandwichlab.graphs import (
     toggle,
     toggled_key,
     union,
+    _bits,
 )
 
 
@@ -163,6 +164,14 @@ def test_toggle_flips_cycle_pairs_and_key_follows(g_cycle):
     assert set(g.edges()) ^ set(h.edges()) == pairs
     assert toggled_key(canonical_key(g), cycle) == canonical_key(h)
     assert toggle(h, cycle) == g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mask=st.integers(0, (1 << 25) - 1))
+def test_bits_is_the_ascending_tuple_of_set_bits(mask):
+    assert _bits(mask) == tuple(i for i in range(25) if (mask >> i) & 1)
+    assert _bits(mask) is _bits(mask)  # served from the cache
+    assert _bits.cache_info().maxsize is not None  # the cache is bounded
 
 
 def _relabeled(g, perm):

@@ -39,6 +39,7 @@ from _reference import (
     mitm_alternating_count,
     six_cycle_switch_graphs,
     switching_graph_reference,
+    two_path_switch_graphs,
 )
 
 
@@ -120,6 +121,26 @@ def test_dual_enumerator_agreement_sample():
         mine = count_alternating_paths(f, k, x, y, ell, avoid)
         ref = mitm_alternating_count(f, k, x, y, 2 * ell, avoid)
         assert mine == ref
+
+
+def test_short_paths_to_a_fixed_endpoint_match_the_join():
+    # at length 2 the vertex before y is the first one drawn, from y's row
+    rng = random.Random(35)
+    nonzero = 0
+    for _ in range(60):
+        f = gnp_graph(10, rng.uniform(0.3, 0.7), rng)
+        k = gnp_graph(10, rng.uniform(0.2, 0.6), rng)
+        x, y = rng.sample(range(1, 11), 2)
+        avoid = {v for v in range(1, 11) if v not in (x, y)
+                 and rng.random() < 0.15}
+        for length in (1, 2):
+            for start_in_k in (False, True):
+                mine = count_alternating(f, k, x, length, y=y, avoid=avoid,
+                                         start_in_k=start_in_k)
+                assert mine == mitm_alternating_count(f, k, x, y, length,
+                                                      avoid, start_in_k)
+                nonzero += mine > 0
+    assert nonzero
 
 
 def test_path_query_modes():
@@ -226,8 +247,13 @@ def test_six_cycle_switches_move_statistic_by_one():
 def test_six_cycle_switches_match_tuple_enumeration():
     rng = random.Random(34)
     members = list(enumerate_regular(complete_graph(8), 3))
-    for k in rng.sample(members, 12):
-        w = set(rng.sample(range(1, 9), rng.randint(2, 4)))
+    cases = [(k, set(rng.sample(range(1, 9), rng.randint(2, 4))))
+             for k in rng.sample(members, 12)]
+    for d in (3, 4):
+        k = random_regular_graph(10, d, rng)
+        cases += [(k, set(rng.sample(range(1, 11), size)))
+                  for size in range(1, 6)]
+    for k, w in cases:
         for mode in ("two-in", "one-in"):
             for reverse in (False, True):
                 got = Counter(tuple(kp.adj) for kp in
@@ -287,6 +313,37 @@ def test_ten_cycle_outputs_valid():
             found_nonempty = True
             break
     assert found_nonempty, "no ten-cycle instance produced any switch"
+
+
+def test_two_path_switches_match_sequence_enumeration():
+    rng = random.Random(36)
+    found = Counter()
+    for _ in range(12):
+        k = random_regular_graph(10, 3, rng)
+        host = k
+        for pair in rng.sample(complement(k).edges(), 20):
+            host = host.with_edge(*pair)
+        e = rng.choice(k.edges())
+        f_edge = rng.choice([fe for fe in difference(host, k).edges()
+                             if not set(fe) & set(e)])
+        fk_edges, k_edges = set(difference(host, k).edges()), set(k.edges())
+        for ell in (1, 2):
+            got = Counter(tuple(kp.adj) for kp in
+                          switch_neighbors_lef(host, 3, k, e, f_edge, ell))
+            want = two_path_switch_graphs(k, fk_edges, k_edges, e, f_edge,
+                                          2 * ell + 2)
+            assert got == Counter(want)
+            found["lef", ell] += len(want)
+    for seed in range(30):
+        f, k, e, f_edge = _ten_cycle_instance(seed)
+        got = Counter(tuple(kp.adj) for kp in
+                      ten_cycle_switches(f, 3, k, e, f_edge))
+        want = two_path_switch_graphs(k, set(complement(k).edges()),
+                                      set(difference(k, f).edges()), e, f_edge, 4)
+        assert got == Counter(want)
+        found["ten"] += len(want)
+    assert found["lef", 1] and found["ten"], found
+    assert found["lef", 2] == 0  # 4l+6 = 14 > 10 vertices
 
 
 def test_ten_cycle_double_count():
