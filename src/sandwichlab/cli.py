@@ -33,14 +33,13 @@ from .coupling import (
     ModelParams,
     class_stage_laws,
     closed_form_class_laws,
-    closed_form_law,
     run_coupled_lower,
     run_coupled_upper,
     sample_f,
     sample_fminus,
     verify_transcript_interleaving,
 )
-from .graphs import canonical_key, difference, parse_graph_literal
+from .graphs import canonical_labeling, difference, parse_graph_literal
 from .oracle import DEFAULT_CACHE, CapacityError, count_regular_spanning_subgraphs
 from .stats import (
     chi_square_uniformity,
@@ -277,9 +276,14 @@ def _cmd_fit(config):
     sampler = sample_f if model == "f" else sample_fminus
     stage = (params.steps_upper - params.m if model == "f" else
              params.steps_lower - params.m)
-    law = closed_form_law(params, stage, "delete" if model == "f" else "add")
-    samples = [canonical_key(sampler(params, rng)[1]) for _ in range(config.trials)]
-    fit = chi_square_uniformity(samples, law)
+    # cells are isomorphism classes: at desk sizes most labeled graphs
+    # would fall below the pooling threshold
+    laws = closed_form_class_laws(params, "delete" if model == "f" else "add")
+    if not 0 <= stage < len(laws):
+        raise ValueError("stage out of range")
+    samples = [canonical_labeling(sampler(params, rng)[1])[0]
+               for _ in range(config.trials)]
+    fit = chi_square_uniformity(samples, laws[stage])
     row = {"model": model, "n": params.n, "d": params.d, "m": params.m,
            "trials": config.trials, "statistic": fit.statistic,
            "dof": fit.dof, "p_value": fit.p_value}
@@ -558,7 +562,8 @@ def _read_config(argv: list) -> tuple:
 
 
 def _check_file_values(parser, args, file_values: dict):
-    """Reject a --config value that its flag's type or choices would reject.
+    """Reject a --config key that is not an option of the subcommand, and a
+    value that its flag's type or choices would reject.
 
     argparse checks choices only on command-line values, and converts a
     default only when it is a string, while file values reach the parser as
@@ -570,7 +575,14 @@ def _check_file_values(parser, args, file_values: dict):
         raise ValueError("the subcommand is named on the command line, "
                          "not in a config file")
     commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
-    for action in commands[args.subcommand]._actions:
+    actions = commands[args.subcommand]._actions
+    # set_defaults would pass any key on to the report's options
+    unknown = sorted(file_values.keys()
+                     - {a.dest for a in actions if a.dest != "help"})
+    if unknown:
+        raise ValueError(f"config key {unknown[0]!r} is not an option of "
+                         f"{args.subcommand}")
+    for action in actions:
         value = getattr(args, action.dest, None)
         if action.dest not in file_values or value is None:
             continue

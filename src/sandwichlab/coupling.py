@@ -680,11 +680,16 @@ def class_kernel_step(law: ClassLaw, d: int, direction: str) -> ClassLaw:
     return _kernel_step(law, d, direction, _canonical_form)
 
 
-def _last_stage(params: ModelParams, direction: str) -> int:
-    """Index of the final stage of the exact analysis in the given direction."""
+def _check_exact_ceiling(params: ModelParams):
+    """Raise CapacityError when n is above the exact-analysis ceiling."""
     if params.n > params.exact_ceiling:
         raise CapacityError(f"n={params.n} exceeds exact-analysis ceiling "
                             f"{params.exact_ceiling}")
+
+
+def _last_stage(params: ModelParams, direction: str) -> int:
+    """Index of the final stage of the exact analysis in the given direction."""
+    _check_exact_ceiling(params)
     if direction == "delete":
         return params.steps_upper
     if direction == "add":

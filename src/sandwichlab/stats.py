@@ -17,10 +17,11 @@ from itertools import combinations
 
 from scipy import stats as _scipy_stats
 
-from .graphs import (SimpleGraph, canonical_pair, check_vertex, complement,
-                     vertex_mask, _bits)
+from .graphs import (SimpleGraph, canonical_pair, complement, complete_graph,
+                     pair_list)
 from .oracle import CapacityError, count_regular_spanning_subgraphs, enumerate_regular
-from .coupling import ClassLaw, EtaSchedule, ModelParams
+from .coupling import ClassLaw, EtaSchedule, ModelParams, _check_exact_ceiling
+from .switching import alternating_paths
 
 
 class ModelViolationError(ValueError):
@@ -46,36 +47,6 @@ class PolynomialStat:
         return self
 
 
-def _skeleton_odd_edges(non_k_adj, k_adj, x, y, k, zmask, n):
-    """Yield the set of odd-position (non-K) edges of each alternating path.
-
-    Paths run x to y with 2k edges, odd positions on non-K pairs and even
-    positions on K edges, no interior vertex in the avoided set.  This is an
-    independent enumeration from the switching module's counter.
-    """
-    out = []
-    path = [x]
-
-    def extend(v, visited, step):
-        row = non_k_adj[v] if step % 2 == 1 else k_adj[v]
-        if step == 2 * k:
-            if (row >> y) & 1 and not (visited >> y) & 1:
-                odd = frozenset(
-                    canonical_pair(path[i], path[i + 1])
-                    for i in range(0, len(path) - 1, 2)
-                )
-                # final edge is even-position (K) for step parity 2k
-                out.append(odd)
-            return
-        for w in _bits(row & ~visited & ~zmask):
-            path.append(w)
-            extend(w, visited | (1 << w), step + 1)
-            path.pop()
-
-    extend(x, 1 << x, 1)
-    return out
-
-
 def path_polynomial_stats(k_graph: SimpleGraph, p, x: int, y: int, k: int,
                           z=()) -> PolynomialStat:
     """Expectation profile of Y = #((random excess, K)-alternating x,y-paths).
@@ -91,18 +62,14 @@ def path_polynomial_stats(k_graph: SimpleGraph, p, x: int, y: int, k: int,
     if k < 1 or k > 4:
         raise CapacityError("path polynomial order limited to k <= 4")
     n = k_graph.n
-    for v in (x, y, *z):
-        check_vertex(k_graph, v)
-    if x == y:
-        raise ValueError("endpoints must be distinct")
-    zmask = vertex_mask(z)
-    if zmask & ((1 << x) | (1 << y)):
-        raise ValueError("avoid set must not contain the endpoints")
+    # with F = K_n the F\K edges are the non-edges of K
+    paths = alternating_paths(complete_graph(n), k_graph, x, 2 * k, y, z)
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0,1]")
-    non_k = complement(k_graph)
-    skeletons = _skeleton_odd_edges(non_k.adj, k_graph.adj, x, y, k, zmask, n)
+    # a skeleton is a path's set of odd-position (non-K) pairs
+    skeletons = [frozenset(map(canonical_pair, path[0::2], path[1::2]))
+                 for path in paths]
     e_y = Fraction(len(skeletons)) * p ** k
     by_order = {0: e_y}
     for order in range(1, k + 1):
@@ -280,14 +247,10 @@ def translation_check(params: ModelParams, predicate,
     has a failing-subgraph proportion exceeding t.
     """
     params._need_m()
-    if params.n > params.exact_ceiling:
-        raise CapacityError(f"n={params.n} exceeds exact-analysis ceiling "
-                            f"{params.exact_ceiling}")
+    _check_exact_ceiling(params)
     n, d, m = params.n, params.d, params.m
     if not 0 <= m <= params.steps_upper:
         raise ValueError("m out of range")
-    from .graphs import complete_graph, pair_list
-
     denominator = (count_regular_spanning_subgraphs(complete_graph(n), d)
                    * math.comb(params.steps_upper, m))
     # left side: enumerate the planted pairs (K, E)

@@ -75,12 +75,14 @@ def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
     yield from rec(x, 1 << x, 1)
 
 
-def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
-                      y: int = None, avoid=(), start_in_k: bool = False) -> int:
-    """Exact count of simple paths of `length` edges alternating (F\\K, K).
+def alternating_paths(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
+                      y: int = None, avoid=(), start_in_k: bool = False):
+    """Vertex tuples of the simple paths of `length` edges alternating
+    (F\\K, K) from x, after checking every argument.
 
     The first edge lies in F\\K unless start_in_k; intermediate vertices must
-    avoid the given set; with y given the paths run from x to y.
+    avoid the given set; with y given the paths run from x to y.  The
+    arguments are checked when this is called, before any path is walked.
     """
     if f.n != k.n:
         raise ValueError("graphs must share a vertex set")
@@ -97,7 +99,13 @@ def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
             raise ValueError("avoid set must not contain the endpoints")
     fk = difference(f, k)
     first, second = (k.adj, fk.adj) if start_in_k else (fk.adj, k.adj)
-    return sum(1 for _ in _alt_paths(first, second, x, length, y, avoid_mask))
+    return _alt_paths(first, second, x, length, y, avoid_mask)
+
+
+def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
+                      y: int = None, avoid=(), start_in_k: bool = False) -> int:
+    """Exact count of the paths alternating_paths yields."""
+    return sum(1 for _ in alternating_paths(f, k, x, length, y, avoid, start_in_k))
 
 
 def count_alternating_paths(f: SimpleGraph, k: SimpleGraph, x: int, y: int,
@@ -122,15 +130,9 @@ def weighted_endpoint_sum(f: SimpleGraph, k: SimpleGraph, v: int, i: int) -> int
     """Sum of d_{F\\K}(u) over (K, F\\K)-alternating v,u-paths of length 2i-1."""
     if i < 1:
         raise ValueError("i must be positive")
-    if f.n != k.n:
-        raise ValueError("graphs must share a vertex set")
-    check_vertex(f, v)
+    paths = alternating_paths(f, k, v, 2 * i - 1, start_in_k=True)
     fk = difference(f, k)
-    weights = [0] * (f.n + 1)
-    for u in range(1, f.n + 1):
-        weights[u] = fk.degree(u)
-    paths = _alt_paths(k.adj, fk.adj, v, 2 * i - 1, None, 0)
-    return sum(weights[p[-1]] for p in paths)
+    return sum(fk.degree(p[-1]) for p in paths)
 
 
 @dataclass(frozen=True)
@@ -213,6 +215,8 @@ def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
         raise ValueError("e must be absent from K")
     if not f.has_edge(u, v):
         raise ValueError("e must be an edge of the host")
+    if not k.is_subgraph_of(f):
+        raise ValueError("K must be a subgraph of the host")
     if ell < 1:
         raise ValueError("ell must be positive")
     fk = difference(f, k)
@@ -240,6 +244,8 @@ def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
         raise ValueError("f must be an edge of the host")
     if len({u1, u2, v1, v2}) != 4:
         raise ValueError("e and f must share no vertices")
+    if not k.is_subgraph_of(f):
+        raise ValueError("K must be a subgraph of the host")
     if ell < 1:
         raise ValueError("ell must be positive")
     fk = difference(f, k)

@@ -3,13 +3,15 @@
 These deliberately avoid the library's algorithms: regular counts and
 subgraphs with a given degree vector come from filtering raw edge-subset
 combinations, path counts from a layered meet-in-the-middle join instead of
-depth-first search, expansion statistics from the edge sets of `graphs`
-instead of popcounts, six-cycle switchings from every ordered vertex
-6-tuple instead of a pruned walk, two-path switchings from every vertex
-sequence with the cycle's shape instead of a depth-first walk over bit rows,
-auxiliary switching graphs by building and keying every switched graph
-instead of toggling keys, and the labeled members of an isomorphism class
-from every vertex permutation instead of double counting.
+depth-first search, path polynomial profiles from every sequence of
+distinct interior vertices instead of a walk over bit rows, expansion
+statistics from the edge sets of `graphs` instead of popcounts, six-cycle
+switchings from every ordered vertex 6-tuple instead of a pruned walk,
+two-path switchings from every vertex sequence with the cycle's shape
+instead of a depth-first walk over bit rows, auxiliary switching graphs by
+building and keying every switched graph instead of toggling keys, and the
+labeled members of an isomorphism class from every vertex permutation
+instead of double counting.
 """
 
 import math
@@ -126,6 +128,41 @@ def mitm_alternating_count(f, k, x, y, length, avoid=(), start_in_k=False):
             if used_f & used_b == {mid}:
                 total += 1
     return total
+
+
+def brute_force_alternating_paths(n, odd, even, x, y, length, avoid=()):
+    """Every simple x,y-path of `length` edges whose odd-numbered edges lie in
+    odd and even-numbered edges in even (sets of canonical pairs), as vertex
+    tuples: every sequence of distinct interior vertices outside avoid is
+    tried."""
+    rest = [v for v in range(1, n + 1) if v not in (x, y) and v not in avoid]
+    out = []
+    for middle in permutations(rest, length - 1):
+        path = (x, *middle, y)
+        if all(canonical_pair(a, b) in (odd if j % 2 else even)
+               for j, (a, b) in enumerate(zip(path, path[1:]), 1)):
+            out.append(path)
+    return out
+
+
+def brute_force_path_polynomial(k, p, x, y, order, avoid=()):
+    """(skeleton count, E Y, by_order) of path_polynomial_stats from the
+    brute-force paths: by_order[i] is p^(order-i) times the most paths whose
+    odd (non-K) edges contain one i-subset of pairs."""
+    edges = {canonical_pair(u, v) for u, v in k.edges()}
+    non_edges = set(combinations(range(1, k.n + 1), 2)) - edges
+    paths = brute_force_alternating_paths(k.n, non_edges, edges, x, y,
+                                          2 * order, avoid)
+    skeletons = [{canonical_pair(path[j], path[j + 1])
+                  for j in range(0, 2 * order, 2)} for path in paths]
+    by_order = {0: len(paths) * p ** order}
+    for i in range(1, order + 1):
+        candidates = {frozenset(a) for s in skeletons
+                      for a in combinations(sorted(s), i)}
+        most = max((sum(1 for s in skeletons if a <= s) for a in candidates),
+                   default=0)
+        by_order[i] = most * p ** (order - i)
+    return len(paths), by_order[0], by_order
 
 
 def expansion_report(f, k, counts_k, lam, delta, d, size_cap,

@@ -177,6 +177,15 @@ def test_fit_subcommand(capsys):
     assert report["results"]["chi_square"]["p_value"] > 1e-4
 
 
+def test_fit_cells_are_isomorphism_classes(capsys):
+    # over labeled graphs every cell falls below the pooling threshold
+    code, out = _run(["fit", "--n", "6", "--d", "3", "--m", "2", "--model",
+                      "fminus", "--trials", "3000"], capsys)
+    assert code == 0
+    fit = json.loads(out)["results"]["chi_square"]
+    assert fit["dof"] > 0 and fit["p_value"] > 1e-4
+
+
 def test_schedule_mass_subcommand(capsys):
     code, out = _run(["schedule-mass", "--n", "12", "--d", "4"], capsys)
     assert code == 0
@@ -359,6 +368,17 @@ def test_config_file_value_rejected_like_its_flag(tmp_path, capsys):
     cfg.write_text(json.dumps({"host": K5, "d": 2, "subcommand": "fit"}))
     assert main(["--config", str(cfg), "count"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_config_file_key_must_be_an_option_of_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"host": K5, "d": 2, "sed": 5, "n": 9}))
+    assert main(["--config", str(cfg), "count"]) == 2
+    assert "error: config key 'n' is not an option of count" in capsys.readouterr().err
+    for key in ("config", "help"):
+        cfg.write_text(json.dumps({"host": K5, "d": 2, key: "x"}))
+        assert main(["--config", str(cfg), "count"]) == 2
+        assert f"error: config key '{key}'" in capsys.readouterr().err
 
 
 def test_negative_eta_exit_code(capsys):

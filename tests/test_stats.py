@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from sandwichlab.coupling import ModelParams
 from sandwichlab.graphs import (
+    SimpleGraph,
     canonical_key,
     complete_graph,
     random_regular_graph,
@@ -22,6 +24,8 @@ from sandwichlab.stats import (
     translation_check,
 )
 from sandwichlab.switching import count_alternating_paths
+
+from _reference import brute_force_path_polynomial
 
 
 def test_chernoff_example():
@@ -102,6 +106,25 @@ def test_path_polynomial_cross_check_many_instances():
         stat = path_polynomial_stats(k, 1, x, y, order)
         direct = count_alternating_paths(complete_graph(n), k, x, y, order)
         assert stat.e_y == direct
+
+
+def test_path_polynomial_matches_brute_force_paths():
+    rng = random.Random(64)
+    for _ in range(80):
+        n = rng.randint(4, 8)
+        density = rng.uniform(0.3, 0.7)
+        k = SimpleGraph(n, [pair for pair in combinations(range(1, n + 1), 2)
+                            if rng.random() < density])
+        x, y = rng.sample(range(1, n + 1), 2)
+        order = rng.randint(1, min(3, (n - 1) // 2))
+        avoid = tuple(v for v in range(1, n + 1)
+                      if v not in (x, y) and rng.random() < 0.15)
+        p = Fraction(rng.randint(0, 5), 5)
+        stat = path_polynomial_stats(k, p, x, y, order, z=avoid)
+        count, e_y, by_order = brute_force_path_polynomial(k, p, x, y, order,
+                                                           avoid)
+        assert (stat.skeleton_count, stat.e_y, stat.by_order) == (count, e_y,
+                                                                  by_order)
 
 
 def test_path_polynomial_exact_rationals_and_orders():

@@ -222,6 +222,17 @@ def test_lef_small_n_empty():
     assert switch_neighbors_lef(host, 3, k, e, f_edge, 1) == []  # 4l+6 = 10 > 6
 
 
+def test_switch_neighbors_refuse_k_outside_the_host():
+    host = complete_graph(6).without_edge(5, 6)
+    k = SimpleGraph(6, [(1, 2), (5, 6)])
+    cases = (lambda: switch_neighbors_le(host, 1, k, (1, 2), 1),
+             lambda: switch_neighbors_le_absent(host, 1, k, (3, 4), 1),
+             lambda: switch_neighbors_lef(host, 1, k, (1, 2), (3, 4), 1))
+    for call in cases:
+        with pytest.raises(ValueError, match="K must be a subgraph of the host"):
+            call()
+
+
 def test_six_cycle_statistic_no_touching_edges():
     k = SimpleGraph(8, [(5, 6), (6, 7), (5, 7)])
     w = {1, 2}
