@@ -354,8 +354,7 @@ def _cmd_sweep(config):
     opts = config.options
     inner_command = opts["command"]
     param = opts["param"]
-    cast = _MODEL_TYPES.get(param, float)
-    values = [cast(v) for v in opts["values"].split(",")]
+    values = [_MODEL_TYPES[param](v) for v in opts["values"].split(",")]
     rows = []
     sub_reports = []
     hard = True
@@ -525,7 +524,7 @@ def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="repeat a subcommand over parameter values")
     common(p)
     p.add_argument("--command")
-    p.add_argument("--param")
+    p.add_argument("--param", choices=tuple(_MODEL_TYPES))
     p.add_argument("--values")
     if file_values:
         for p in sub.choices.values():

@@ -66,6 +66,9 @@ class ModelParams:
             raise ValueError("dn must be even for the coupled processes")
         if self.m is not None and self.m < 0:
             raise ValueError("m must be nonnegative")
+        # a negative eps gives a negative horizon shift R and p_lower > p_upper
+        if not self.eps >= 0:
+            raise ValueError("eps must be nonnegative")
         # a negative eta puts the lower horizon floor(dn/2 - eta*n) above
         # C(n,2), so the first-appearance scan would wait for pairs that
         # do not exist

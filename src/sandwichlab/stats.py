@@ -161,7 +161,7 @@ def chi_square_uniformity(samples, law, min_expected: float = 5.0) -> FitResult:
     law maps keys to probabilities, or is a ClassLaw, whose cells then carry
     the probability of the whole class (of one graph, for a labeled law).
     Cells with expected count below min_expected are pooled, smallest first.
-    A sample key outside the law raises ModelViolationError.
+    A key outside the law raises ModelViolationError, an empty sample ValueError.
     """
     if isinstance(law, ClassLaw):
         probs = {key: p * law.sizes[key] for key, p in law.probs.items()}
@@ -174,6 +174,8 @@ def chi_square_uniformity(samples, law, min_expected: float = 5.0) -> FitResult:
             raise ModelViolationError(f"sample key {key!r} not in the reference law")
         counts[key] = counts.get(key, 0) + 1
         total += 1
+    if not total:
+        raise ValueError("no samples")
     cells = sorted(((float(p) * total, counts.get(key, 0), key)
                     for key, p in probs.items()), key=lambda c: c[0])
     pooled_exp = 0.0

@@ -6,9 +6,11 @@ designated start, so each path is counted exactly once.  A switching is an
 alternating cycle: a closed vertex sequence whose pairs alternate between
 edges of K and non-edges.  Applying it flips every pair (graphs.toggle),
 carrying one regular graph to another, and graphs.toggled_key keys the
-result without building it.  The auxiliary bipartite graphs record every
-valid switching between two families so their edges can be double-counted
-exactly.
+result without building it.  Each switching kind has one cycle source that
+checks the arguments not depending on K and returns cycles(k, reverse=False),
+the cycles out of the left class (with reverse=True, out of the right one).
+Its neighbor list, its degree and its auxiliary bipartite graph, which records
+every switching between the two classes for an exact double count, read it.
 """
 
 from __future__ import annotations
@@ -170,22 +172,53 @@ class PathQuery:
 
 # -- cycle switchings -----------------------------------------------------------
 
-def _two_path_cycles(odd_rows, even_rows, e, f_edge, length: int):
-    """Switching cycles through e and f_edge made of two vertex-disjoint paths.
+def _check_member(k: SimpleGraph, host=None, partial=None, has=None, lacks=None):
+    """Refuse a K outside the host or not around the partial graph, or one
+    missing the (name, edge) `has` or holding the (name, edge) `lacks`."""
+    if host is not None and not k.is_subgraph_of(host):
+        raise ValueError("K must be a subgraph of the host")
+    if partial is not None and not partial.is_subgraph_of(k):
+        raise ValueError("the partial graph must lie inside K")
+    if has and not k.has_edge(*has[1]):
+        raise ValueError(f"{has[0]} must be an edge of K")
+    if lacks and k.has_edge(*lacks[1]):
+        raise ValueError(f"{lacks[0]} must be absent from K")
 
-    Each path has `length` edges alternating odd_rows (added to K) and
-    even_rows (removed from K), one from each endpoint of e to an endpoint of
-    f_edge; both endpoint pairings are admitted.  The cycle runs out along
-    the first path, across f_edge, back along the second and across e.
-    """
-    u1, u2 = e
-    v1, v2 = f_edge
-    for w1, w2 in ((v1, v2), (v2, v1)):
-        avoid1 = (1 << u2) | (1 << w2)
-        for p1 in _alt_paths(odd_rows, even_rows, u1, length, w1, avoid1):
-            for p2 in _alt_paths(odd_rows, even_rows, u2, length, w2,
-                                 vertex_mask(p1)):
-                yield p1 + p2[::-1]
+
+def _two_path_source(rows, e, f_edge, length: int):
+    """Cycle source of the switchings through e and f_edge made of two
+    vertex-disjoint paths, one from each endpoint of e to an endpoint of
+    f_edge (both pairings admitted); reverse swaps e and f_edge.  Each path
+    has `length` edges alternating the rows (odd_rows, even_rows) = rows(k),
+    added to K and removed from it.  The cycle runs out along the first path,
+    across f_edge, back along the second and across e."""
+    def cycles(k: SimpleGraph, reverse: bool = False):
+        (u1, u2), (v1, v2) = (f_edge, e) if reverse else (e, f_edge)
+        odd_rows, even_rows = rows(k)
+        for w1, w2 in ((v1, v2), (v2, v1)):
+            avoid1 = (1 << u2) | (1 << w2)
+            for p1 in _alt_paths(odd_rows, even_rows, u1, length, w1, avoid1):
+                for p2 in _alt_paths(odd_rows, even_rows, u2, length, w2,
+                                     vertex_mask(p1)):
+                    yield p1 + p2[::-1]
+    return cycles
+
+
+def _le_source(f: SimpleGraph, e, ell: int):
+    """le cycles: e plus a path of length 2*ell+1 between its endpoints,
+    alternating (F\\K, K) out of a K with e, (K, F\\K) out of one without."""
+    u, v = checked_pair(f, e)
+    if not f.has_edge(u, v):
+        raise ValueError("e must be an edge of the host")
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    length = 2 * ell + 1
+
+    def cycles(k: SimpleGraph, reverse: bool = False):
+        fk = difference(f, k).adj
+        odd, even = (k.adj, fk) if reverse else (fk, k.adj)
+        return _alt_paths(odd, even, u, length, v, 0)
+    return cycles
 
 
 def switch_neighbors_le(f: SimpleGraph, d: int, k: SimpleGraph, e, ell: int) -> list:
@@ -195,32 +228,33 @@ def switch_neighbors_le(f: SimpleGraph, d: int, k: SimpleGraph, e, ell: int) -> 
     The cycle minus e is an (F\\K, K)-alternating path of length 2*ell+1
     between e's endpoints, so each such path gives one neighbor.
     """
-    u, v = canonical_pair(*e)
-    if not k.has_edge(u, v):
-        raise ValueError("e must be an edge of K")
-    if not k.is_subgraph_of(f):
-        raise ValueError("K must be a subgraph of the host")
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    fk = difference(f, k)
-    return [toggle(k, c) for c in _alt_paths(fk.adj, k.adj, u, 2 * ell + 1, v, 0)]
+    cycles = _le_source(f, e, ell)
+    _check_member(k, host=f, has=("e", e))
+    return [toggle(k, c) for c in cycles(k)]
 
 
 def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
                                ell: int) -> list:
     """Mirror of switch_neighbors_le from the side that lacks e: all K' with
     e in E(K') whose symmetric difference with K is one (2*ell+2)-cycle."""
-    u, v = canonical_pair(*e)
-    if k.has_edge(u, v):
-        raise ValueError("e must be absent from K")
-    if not f.has_edge(u, v):
-        raise ValueError("e must be an edge of the host")
-    if not k.is_subgraph_of(f):
-        raise ValueError("K must be a subgraph of the host")
+    cycles = _le_source(f, e, ell)
+    _check_member(k, host=f, lacks=("e", e))
+    return [toggle(k, c) for c in cycles(k, reverse=True)]
+
+
+def _lef_source(f: SimpleGraph, e, f_edge, ell: int):
+    """lef cycles: two (F\\K, K)-alternating paths of length 2*ell+2 from e
+    to f_edge; reverse swaps e and f_edge."""
+    e, f_edge = checked_pair(f, e), checked_pair(f, f_edge)
+    for name, edge in (("e", e), ("f", f_edge)):
+        if not f.has_edge(*edge):
+            raise ValueError(f"{name} must be an edge of the host")
+    if len({*e, *f_edge}) != 4:
+        raise ValueError("e and f must share no vertices")
     if ell < 1:
         raise ValueError("ell must be positive")
-    fk = difference(f, k)
-    return [toggle(k, c) for c in _alt_paths(k.adj, fk.adj, u, 2 * ell + 1, v, 0)]
+    return _two_path_source(lambda k: (difference(f, k).adj, k.adj),
+                            e, f_edge, 2 * ell + 2)
 
 
 def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
@@ -234,23 +268,9 @@ def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
     Both endpoint pairings are admitted since the labeling of e and f is
     arbitrary; the relation is symmetric under swapping (K, e) with (K', f).
     """
-    u1, u2 = canonical_pair(*e)
-    v1, v2 = canonical_pair(*f_edge)
-    if not k.has_edge(u1, u2):
-        raise ValueError("e must be an edge of K")
-    if k.has_edge(v1, v2):
-        raise ValueError("f must be absent from K")
-    if not f.has_edge(v1, v2):
-        raise ValueError("f must be an edge of the host")
-    if len({u1, u2, v1, v2}) != 4:
-        raise ValueError("e and f must share no vertices")
-    if not k.is_subgraph_of(f):
-        raise ValueError("K must be a subgraph of the host")
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    fk = difference(f, k)
-    return [toggle(k, c) for c in _two_path_cycles(
-        fk.adj, k.adj, (u1, u2), (v1, v2), 2 * ell + 2)]
+    cycles = _lef_source(f, e, f_edge, ell)
+    _check_member(k, host=f, has=("e", e), lacks=("f", f_edge))
+    return [toggle(k, c) for c in cycles(k)]
 
 
 # -- six-cycle switchings ---------------------------------------------------------
@@ -304,14 +324,12 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     outside = full & ~wmask
     if mode == "two-in":
         ends = outside
-    elif mode == "one-in":
+    else:
         # one-in bounds on the W'-degrees of v2 (at least) and v6 (at most)
         min2, max6 = (1, 1) if reverse else (2, 0)
         wdeg = [(row & wmask).bit_count() for row in adj]
         ends = outside & vertex_mask(v for v in range(1, n + 1)
                                      if wdeg[v] <= max6)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     for v1 in _bits(wmask & full):
         if mode == "two-in":
             v2s = [v2 for v2 in _bits(first[v1] & wmask) if v2 > v1]
@@ -339,37 +357,43 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
                             yield (v1, v2, v3, v4, v5, v6)
 
 
+def _six_source(wprime, mode: str):
+    """six-cycle cycles, walked by _six_cycles; with no host, W' is checked
+    against each K's vertex range."""
+    if mode not in ("two-in", "one-in"):
+        raise ValueError(f"unknown mode {mode!r}")
+    wprime = tuple(wprime)
+
+    def cycles(k: SimpleGraph, reverse: bool = False):
+        for v in wprime:
+            check_vertex(k, v)
+        return _six_cycles(k, vertex_mask(wprime), mode, reverse)
+    return cycles
+
+
 def six_cycle_switches(k: SimpleGraph, wprime, mode: str,
                        reverse: bool = False) -> list:
     """Apply every qualifying six-cycle switching; returns the switched graphs."""
-    wmask = vertex_mask(wprime)
-    return [toggle(k, c) for c in _six_cycles(k, wmask, mode, reverse)]
+    return [toggle(k, c) for c in _six_source(wprime, mode)(k, reverse)]
 
 
 def six_cycle_degree(k: SimpleGraph, wprime, mode: str) -> int:
     """Number of six-cycle switchings from K lowering the tracked statistic by 1."""
-    wmask = vertex_mask(wprime)
-    return sum(1 for _ in _six_cycles(k, wmask, mode, False))
+    return sum(1 for _ in _six_source(wprime, mode)(k))
 
 
 # -- ten-cycle switchings ----------------------------------------------------------
 
-def _ten_cycles(f: SimpleGraph, k: SimpleGraph, e, f_edge):
-    """Check the arguments of ten_cycle_switches; return its cycles' iterator."""
-    x1, x2 = canonical_pair(*e)
-    y1, y2 = canonical_pair(*f_edge)
-    if not f.is_subgraph_of(k):
-        raise ValueError("the partial graph must lie inside K")
-    if f.has_edge(x1, x2) or f.has_edge(y1, y2):
+def _ten_source(f: SimpleGraph, e, f_edge):
+    """ten cycles, f the partial graph: two length-4 paths alternating
+    (complement of K, K\\F) from e to f_edge; reverse swaps e and f_edge."""
+    e, f_edge = checked_pair(f, e), checked_pair(f, f_edge)
+    if f.has_edge(*e) or f.has_edge(*f_edge):
         raise ValueError("e and f must be absent from the partial graph")
-    if not k.has_edge(x1, x2):
-        raise ValueError("e must be an edge of K")
-    if k.has_edge(y1, y2):
-        raise ValueError("f must be absent from K")
-    if len({x1, x2, y1, y2}) != 4:
+    if len({*e, *f_edge}) != 4:
         raise ValueError("e and f must share no vertices")
-    return _two_path_cycles(complement(k).adj, difference(k, f).adj,
-                            (x1, x2), (y1, y2), 4)
+    return _two_path_source(lambda k: (complement(k).adj, difference(k, f).adj),
+                            e, f_edge, 4)
 
 
 def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> list:
@@ -380,12 +404,16 @@ def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> lis
     (complement of K, K\\F), one from each endpoint of e to an endpoint of f;
     both endpoint pairings are admitted.
     """
-    return [toggle(k, c) for c in _ten_cycles(f, k, e, f_edge)]
+    cycles = _ten_source(f, e, f_edge)
+    _check_member(k, partial=f, has=("e", e), lacks=("f", f_edge))
+    return [toggle(k, c) for c in cycles(k)]
 
 
 def ten_cycle_degree(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> int:
     """Number of ten-cycle switchings from K (zero below 10 vertices)."""
-    return sum(1 for _ in _ten_cycles(f, k, e, f_edge))
+    cycles = _ten_source(f, e, f_edge)
+    _check_member(k, partial=f, has=("e", e), lacks=("f", f_edge))
+    return sum(1 for _ in cycles(k))
 
 
 # -- auxiliary bipartite graphs -----------------------------------------------------
@@ -428,11 +456,11 @@ def verify_double_count(graph: SwitchingGraph) -> dict:
     }
 
 
-def _bipartite_from_switches(kind, left_graphs, forward, reverse, meta):
-    """Assemble a SwitchingGraph from forward/reverse cycle enumerators.
+def _bipartite_from_switches(kind, left_graphs, cycles, meta):
+    """Assemble a SwitchingGraph from a kind's cycle source.
 
-    forward(K) yields the switching cycles out of a left member and
-    reverse(K') those out of a right member.  Each output is keyed by
+    cycles(K) yields the switching cycles out of a left member and
+    cycles(K', True) those out of a right member.  Each output is keyed by
     toggling its source's key, so a graph is built only once per distinct
     right member, to run its reverse enumeration.  Reverse outputs are
     intersected with the left class so the double count is over exactly the
@@ -444,7 +472,7 @@ def _bipartite_from_switches(kind, left_graphs, forward, reverse, meta):
     right_members = {}
     for key, g in left.items():
         degree = 0
-        for c in forward(g):
+        for c in cycles(g):
             hk = toggled_key(key, c)
             if hk not in right_members:
                 right_members[hk] = toggle(g, c)
@@ -455,7 +483,7 @@ def _bipartite_from_switches(kind, left_graphs, forward, reverse, meta):
     reverse_edges = set()
     right_degrees = {}
     for hk in right_keys:
-        backs = (toggled_key(hk, c) for c in reverse(right_members[hk]))
+        backs = (toggled_key(hk, c) for c in cycles(right_members[hk], True))
         inside = [bk for bk in backs if bk in left]
         right_degrees[hk] = len(inside)
         reverse_edges.update((bk, hk) for bk in inside)
@@ -473,79 +501,46 @@ def _bipartite_from_switches(kind, left_graphs, forward, reverse, meta):
 
 def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the K_d(F) members with and without e."""
-    u, v = checked_pair(f, e)
-    if not f.has_edge(u, v):
-        raise ValueError("e must be an edge of the host")
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    length = 2 * ell + 1
+    cycles = _le_source(f, e, ell)
+    e = canonical_pair(*e)
     return _bipartite_from_switches(
-        "le",
-        [k for k in enumerate_regular(f, d) if k.has_edge(u, v)],
-        lambda k: _alt_paths(difference(f, k).adj, k.adj, u, length, v, 0),
-        lambda k: _alt_paths(k.adj, difference(f, k).adj, u, length, v, 0),
-        meta={"e": (u, v), "ell": ell},
-    )
+        "le", [k for k in enumerate_regular(f, d) if k.has_edge(*e)], cycles,
+        meta={"e": e, "ell": ell})
 
 
 def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the e-but-not-f and f-but-not-e classes."""
-    e = checked_pair(f, e)
-    f_edge = checked_pair(f, f_edge)
-    if not (f.has_edge(*e) and f.has_edge(*f_edge)):
-        raise ValueError("e and f must be edges of the host")
-    if len({*e, *f_edge}) != 4:
-        raise ValueError("e and f must share no vertices")
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    length = 2 * ell + 2
+    cycles = _lef_source(f, e, f_edge, ell)
+    e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
         "lef",
         [k for k in enumerate_regular(f, d)
          if k.has_edge(*e) and not k.has_edge(*f_edge)],
-        lambda k: _two_path_cycles(difference(f, k).adj, k.adj, e, f_edge, length),
-        lambda k: _two_path_cycles(difference(f, k).adj, k.adj, f_edge, e, length),
-        meta={"e": e, "f": f_edge, "ell": ell},
-    )
+        cycles, meta={"e": e, "f": f_edge, "ell": ell})
 
 
 def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingGraph:
     """Auxiliary graph out of a family of regular graphs sharing one statistic
     value, with edges the unit-decreasing six-cycle switchings."""
-    if mode not in ("two-in", "one-in"):
-        raise ValueError(f"unknown mode {mode!r}")
+    cycles = _six_source(wprime, mode)
     left_members = list(left_members)
     if not all(is_regular(k, d) for k in left_members):
         raise ValueError(f"left members must be {d}-regular")
     values = {six_cycle_statistic(k, wprime, mode) for k in left_members}
     if len(values) > 1:
         raise ValueError(f"left class mixes statistic values {sorted(values)}")
-    wmask = vertex_mask(wprime)
     return _bipartite_from_switches(
-        f"six-{mode}",
-        left_members,
-        lambda k: _six_cycles(k, wmask, mode, False),
-        lambda k: _six_cycles(k, wmask, mode, True),
+        f"six-{mode}", left_members, cycles,
         meta={"wprime": sorted(set(wprime)), "mode": mode,
-              "stat": values.pop() if values else None},
-    )
+              "stat": values.pop() if values else None})
 
 
 def build_ten_cycle_graph(f: SimpleGraph, d: int, e, f_edge) -> SwitchingGraph:
     """Full auxiliary graph between the extension classes of F+e and F+f."""
-    e = checked_pair(f, e)
-    f_edge = checked_pair(f, f_edge)
-    if f.has_edge(*e) or f.has_edge(*f_edge):
-        raise ValueError("e and f must be absent from the partial graph")
-    if len({*e, *f_edge}) != 4:
-        raise ValueError("e and f must share no vertices")
+    cycles = _ten_source(f, e, f_edge)
+    e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
         "ten",
         [k for k in enumerate_extensions(f.with_edge(*e), d)
          if not k.has_edge(*f_edge)],
-        lambda k: _two_path_cycles(complement(k).adj, difference(k, f).adj,
-                                   e, f_edge, 4),
-        lambda k: _two_path_cycles(complement(k).adj, difference(k, f).adj,
-                                   f_edge, e, 4),
-        meta={"e": e, "f": f_edge},
-    )
+        cycles, meta={"e": e, "f": f_edge})

@@ -213,6 +213,30 @@ def test_sweep_over_vertex_count(capsys):
     assert [line.split(",")[n_col] for line in lines[1:]] == ["4", "6"]
 
 
+def test_sweep_param_must_be_a_model_option(capsys):
+    # an unknown name would run the same experiment once per value
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--command", "couple-upper", "--param", "foo",
+              "--values", "1,2", "--n", "6", "--d", "3", "--trials", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
+def test_negative_eps_is_a_usage_error(capsys):
+    # not a ZeroDivisionError traceback, nor trials run with a negative R
+    for command in (["schedule-mass"], ["couple-upper", "--trials", "2"]):
+        assert main([*command, "--n", "6", "--d", "3", "--eps", "-1"]) == 2
+        assert "error: eps must be nonnegative" in capsys.readouterr().err
+
+
+def test_fit_without_samples_is_a_usage_error(capsys):
+    # no samples would give a vacuous fit (dof 0, p_value 1.0)
+    for trials in ("0", "-5"):
+        assert main(["fit", "--n", "6", "--d", "3", "--m", "2",
+                     "--trials", trials]) == 2
+        assert "error: no samples" in capsys.readouterr().err
+
+
 def test_model_flags_track_model_params(capsys):
     fields = dataclasses.fields(ModelParams)
     argv = ["couple-upper"]

@@ -360,6 +360,15 @@ def test_negative_eta_rejected():
     assert ModelParams(n=6, d=3, eta=0.0).n_lower == 9
 
 
+def test_negative_eps_rejected():
+    # R = floor(eps*d*n/8) would be negative, and p_lower above p_upper
+    for eps in (-1, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            ModelParams(n=6, d=3, eps=eps)
+    assert ModelParams(n=6, d=3, eps=0.0).R == 0
+    assert ModelParams(n=8, d=3, eps=1.1).R == 3  # eps above 1 stays allowed
+
+
 def test_exact_analysis_capacity():
     with pytest.raises(CapacityError):
         exact_marginal(ModelParams(n=8, d=3), 1, "delete")

@@ -146,6 +146,11 @@ def test_chi_square_single_atom():
     assert fit.statistic == 0.0 and fit.p_value == 1.0
 
 
+def test_chi_square_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="no samples"):
+        chi_square_uniformity([], {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+
+
 def test_chi_square_calibration():
     atoms = [canonical_key(g) for g in enumerate_regular(complete_graph(5), 2)]
     law = {a: Fraction(1, 12) for a in atoms}

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -30,6 +31,7 @@ from sandwichlab.switching import (
     switch_neighbors_le,
     switch_neighbors_le_absent,
     switch_neighbors_lef,
+    ten_cycle_degree,
     ten_cycle_switches,
     verify_double_count,
     weighted_endpoint_sum,
@@ -233,6 +235,62 @@ def test_switch_neighbors_refuse_k_outside_the_host():
             call()
 
 
+# a 2-regular K inside a host missing 1-4 and 3-6, the K lacking 1-2 that
+# le_absent starts from, and K less 1-2 and 3-4 as the ten-cycle partial graph
+_C6 = SimpleGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
+_C6_HOST = complete_graph(6).without_edge(1, 4).without_edge(3, 6)
+_C6_WITHOUT_12 = SimpleGraph(6, [(1, 3), (3, 4), (2, 4), (2, 5), (5, 6), (1, 6)])
+_C6_PARTIAL = _C6.without_edge(1, 2).without_edge(3, 4)
+
+# each kind's neighbor lists, degree and builder, from valid default arguments
+_KIND_READERS = {
+    "le": lambda e=(1, 2), ell=1: [
+        lambda: switch_neighbors_le(_C6_HOST, 2, _C6, e, ell),
+        lambda: switch_neighbors_le_absent(_C6_HOST, 2, _C6_WITHOUT_12, e, ell),
+        lambda: build_le_graph(_C6_HOST, 2, e, ell)],
+    "lef": lambda e=(1, 2), f_edge=(3, 5), ell=1: [
+        lambda: switch_neighbors_lef(_C6_HOST, 2, _C6, e, f_edge, ell),
+        lambda: build_lef_graph(_C6_HOST, 2, e, f_edge, ell)],
+    "ten": lambda e=(1, 2), f_edge=(3, 6): [
+        lambda: ten_cycle_switches(_C6_PARTIAL, 2, _C6, e, f_edge),
+        lambda: ten_cycle_degree(_C6_PARTIAL, 2, _C6, e, f_edge),
+        lambda: build_ten_cycle_graph(_C6_PARTIAL, 2, e, f_edge)],
+    "six": lambda wprime=(1, 2), mode="two-in": [
+        lambda: six_cycle_switches(_C6, wprime, mode),
+        lambda: six_cycle_switches(_C6, wprime, mode, reverse=True),
+        lambda: six_cycle_degree(_C6, wprime, mode),
+        lambda: build_six_cycle_graph(2, wprime, mode, [_C6])],
+}
+
+
+@pytest.mark.parametrize("kind, bad, message", [
+    ("le", {"e": (1, 4)}, "e must be an edge of the host"),
+    ("le", {"ell": 0}, "ell must be positive"),
+    ("le", {"e": (-1, 2)}, "vertex -1 outside 1..6"),
+    ("le", {"e": (98, 99)}, "vertex 98 outside 1..6"),
+    ("lef", {"e": (1, 4)}, "e must be an edge of the host"),
+    ("lef", {"f_edge": (3, 6)}, "f must be an edge of the host"),
+    ("lef", {"f_edge": (2, 4)}, "e and f must share no vertices"),
+    ("lef", {"ell": 0}, "ell must be positive"),
+    ("lef", {"f_edge": (5, 7)}, "vertex 7 outside 1..6"),
+    ("ten", {"e": (4, 5)}, "e and f must be absent from the partial graph"),
+    ("ten", {"f_edge": (2, 4)}, "e and f must share no vertices"),
+    ("ten", {"e": (0, 2)}, "vertex 0 outside 1..6"),
+    ("ten", {"f_edge": (98, 99)}, "vertex 98 outside 1..6"),
+    ("six", {"wprime": {1, 99}}, "vertex 99 outside 1..6"),
+    ("six", {"wprime": {-1, 2}}, "vertex -1 outside 1..6"),
+    ("six", {"mode": "bogus"}, "unknown mode 'bogus'"),
+])
+def test_readers_of_one_kind_refuse_a_bad_argument_alike(kind, bad, message):
+    # an out-of-range vertex must not wrap (negative shift count), index past
+    # the rows (IndexError) or drop out of W' silently
+    for call in _KIND_READERS[kind]():
+        call()  # the default arguments are valid
+    for call in _KIND_READERS[kind](**bad):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def test_six_cycle_statistic_no_touching_edges():
     k = SimpleGraph(8, [(5, 6), (6, 7), (5, 7)])
     w = {1, 2}
@@ -289,7 +347,6 @@ def test_ten_cycle_small_n_is_zero():
     rng = random.Random(32)
     k = random_regular_graph(8, 3, rng)
     f = k.without_edge(*k.edges()[0])
-    from sandwichlab.switching import ten_cycle_degree
     e = next(fe for fe in complement(f).edges() if k.has_edge(*fe))
     f_edge = next(fe for fe in complement(k).edges() if not set(fe) & set(e))
     assert ten_cycle_degree(f, 3, k, e, f_edge) == 0
