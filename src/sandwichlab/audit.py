@@ -6,7 +6,8 @@ carrying the worst signed margin and the witness achieving it, so a desk-scale
 run stays informative even where the literal constants make the check vacuous
 or unsatisfiable; in the vacuous case the report names the constraint that
 emptied the search space instead of silently rescaling.  Each checker lists
-its (margin, witness) instances, exhaustive then sampled, and _worst reduces them.
+its (margin, witness) instances, exhaustive then sampled, and _worst reduces them;
+the expansion checks fold each block of instances to its worst first.
 
 All logarithms are natural.
 """
@@ -72,9 +73,17 @@ def _worst(property_id, params, instances, empty) -> PropertyReport:
 
     Ties keep the earliest instance; with none the report is vacuous for empty.
     """
+    return _worst_of_blocks(property_id, params,
+                            ((margin, witness, 1) for margin, witness in instances),
+                            empty)
+
+
+def _worst_of_blocks(property_id, params, blocks, empty) -> PropertyReport:
+    """_worst over (margin, witness, count) blocks, each standing for count
+    instances whose least margin, first met at witness, is margin."""
     worst, witness, seen = INF, None, 0
-    for margin, candidate in instances:
-        seen += 1
+    for margin, candidate, count in blocks:
+        seen += count
         if margin < worst:
             worst, witness = margin, candidate
     if not seen:
@@ -151,29 +160,38 @@ def check_neighborhood_sums(f: SimpleGraph, k: SimpleGraph, delta: float,
 
 def _witnessed_sets(carrier_adj, n, witness_cap, min_ratio, size_cap,
                     pool_cap, samples, rng):
-    """Yield (U', U) pairs with U inside U' + carrier-neighborhood of U'.
+    """Yield blocks (U', |U|, sets, count) of the (U', U) pairs with U inside
+    U' + carrier-neighborhood of U', in the order of the pairs.
 
-    min_ratio is the |U| >= ratio*|U'| constraint; size_cap bounds |U|.
-    Pools small enough are enumerated exhaustively, larger ones sampled.
+    min_ratio is the |U| >= ratio*|U'| constraint; size_cap bounds |U|.  A
+    pool with room for such a U gives, when small enough, one block per size
+    holding its count sets, enumerated exhaustively; a larger one gives one
+    block per sampled set, drawn from rng, or without rng or samples the
+    block (U', None, None, 0).
     """
     vertices = range(1, n + 1)
     for size in range(1, witness_cap + 1):
+        min_size = max(1, math.ceil(min_ratio * size))
+        if min_size > size_cap:
+            continue
         for uprime in combinations(vertices, size):
             pool_mask = vertex_mask(uprime)
             for v in uprime:
                 pool_mask |= carrier_adj[v]
-            pool = list(_bits(pool_mask))
-            min_size = max(1, math.ceil(min_ratio * size))
-            if min_size > size_cap:
+            pool = _bits(pool_mask)
+            max_size = int(min(len(pool), size_cap))
+            if max_size < min_size:
                 continue
             if len(pool) <= pool_cap:
-                for usize in range(min_size, int(min(len(pool), size_cap)) + 1):
-                    for u in combinations(pool, usize):
-                        yield uprime, u
-            elif rng is not None:
+                for usize in range(min_size, max_size + 1):
+                    yield (uprime, usize, combinations(pool, usize),
+                           math.comb(len(pool), usize))
+            elif rng is not None and samples > 0:
                 for _ in range(samples):
-                    usize = rng.randint(min_size, int(min(len(pool), size_cap)))
-                    yield uprime, tuple(rng.sample(pool, usize))
+                    usize = rng.randint(min_size, max_size)
+                    yield uprime, usize, (tuple(rng.sample(pool, usize)),), 1
+            else:
+                yield uprime, None, None, 0
 
 
 def _expansion_statistic(g: SimpleGraph, umask: int) -> int:
@@ -187,6 +205,18 @@ def _expansion_statistic(g: SimpleGraph, umask: int) -> int:
         elif c >= 2:
             covered += c
     return covered + inside_ends // 2
+
+
+class _Statistics(dict):
+    """U tuple -> _expansion_statistic of g, computed on first lookup."""
+
+    def __init__(self, g: SimpleGraph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, u):
+        stat = self[u] = _expansion_statistic(self.g, vertex_mask(u))
+        return stat
 
 
 def _check_expansion(property_id, f, k, counts_k, ratio, ratio_name, factor,
@@ -203,25 +233,42 @@ def _check_expansion(property_id, f, k, counts_k, ratio, ratio_name, factor,
     of c_x over x in U.  It depends on U alone, and many pairs share one U, so
     it is kept per U tuple within a call (a sampled U in another order is
     computed again).
+
+    The pairs come in blocks of one U' and one |U|, where the margin falls as
+    the statistic rises; max returns the first U of greatest statistic, so
+    folding a block to that U keeps the least margin, its first witness and
+    the instance count of the pair-by-pair fold.
     """
     _require_subgraph(k, f)
+    if witness_cap < 1:
+        raise ValueError(f"witness_cap must be at least 1, got {witness_cap}")
     if size_cap < 1:
         return _vacuous(property_id, params,
                         f"size cap {size_cap:.3g} < 1 admits no set at n={f.n}")
     fk = difference(f, k)
     carrier, counted = (fk, k) if counts_k else (k, fk)
+    skipped = 0
 
-    def instances():
-        statistics = {}
-        for uprime, u in _witnessed_sets(carrier.adj, f.n, witness_cap, ratio / 4,
-                                         size_cap, pool_cap, samples, rng):
-            stat = statistics.get(u)
-            if stat is None:
-                stat = statistics[u] = _expansion_statistic(counted, vertex_mask(u))
-            yield factor * len(u) - stat, (uprime, u)
+    def blocks():
+        nonlocal skipped
+        table = _Statistics(counted)
+        for uprime, size, sets, count in _witnessed_sets(
+                carrier.adj, f.n, witness_cap, ratio / 4, size_cap, pool_cap,
+                samples, rng):
+            if not count:
+                skipped += 1
+                continue
+            u = max(sets, key=table.__getitem__)
+            yield factor * size - table[u], (uprime, u), count
 
-    return _worst(property_id, params, instances(),
-                  f"no witnessed set meets |U| >= {ratio_name}*|U'|/4 = {ratio/4:.3g}")
+    report = _worst_of_blocks(
+        property_id, params, blocks(),
+        f"no witnessed set meets |U| >= {ratio_name}*|U'|/4 = {ratio/4:.3g}")
+    if skipped and not report.instances:
+        return _vacuous(property_id, params,
+                        f"every pool exceeds pool_cap {pool_cap} and "
+                        f"{_no_samples(samples, rng)}")
+    return report
 
 
 def check_expansion_k(f: SimpleGraph, k: SimpleGraph, lam: float, d: int,

@@ -294,18 +294,20 @@ def _pair_bits(n: int) -> tuple:
     return tuple(map(tuple, bit))
 
 
-def toggled_key(key, cycle):
-    """canonical_key(toggle(g, cycle)) from key == canonical_key(g).
-
-    Each pair of the cycle XORs its bit from the per-n table _pair_bits.
-    """
-    n, mask = key
-    bit = _pair_bits(n)
+def _toggled_mask(bit, mask, cycle) -> int:
+    """toggle(g, cycle).edge_mask() from mask == g.edge_mask() and
+    bit == _pair_bits(g.n): each pair of the cycle XORs its bit."""
     prev = cycle[-1]
     for v in cycle:
         mask ^= bit[prev][v]
         prev = v
-    return (n, mask)
+    return mask
+
+
+def toggled_key(key, cycle):
+    """canonical_key(toggle(g, cycle)) from key == canonical_key(g)."""
+    n, mask = key
+    return (n, _toggled_mask(_pair_bits(n), mask, cycle))
 
 
 def _twins(adj, u: int, v: int) -> bool:

@@ -5,8 +5,9 @@ count edges.  Between-endpoint counts treat paths as undirected with a
 designated start, so each path is counted exactly once.  A switching is an
 alternating cycle: a closed vertex sequence whose pairs alternate between
 edges of K and non-edges.  Applying it flips every pair (graphs.toggle),
-carrying one regular graph to another, and graphs.toggled_key keys the
-result without building it.  Each switching kind has one cycle source that
+carrying one regular graph to another; the result's edge mask is the
+source's with the cycle's pair bits flipped, so the auxiliary graphs key it
+without building it.  Each switching kind has one cycle source that
 checks the arguments not depending on K and returns cycles(k, reverse=False),
 the cycles out of the left class (with reverse=True, out of the right one).
 Its neighbor list, its degree and its auxiliary bipartite graph, which records
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 from .graphs import (
     SimpleGraph,
-    canonical_key,
     canonical_pair,
     check_vertex,
     checked_pair,
@@ -28,9 +28,10 @@ from .graphs import (
     edges_inside,
     is_regular,
     toggle,
-    toggled_key,
     vertex_mask,
     _bits,
+    _pair_bits,
+    _toggled_mask,
 )
 from .oracle import enumerate_extensions, enumerate_regular
 
@@ -172,9 +173,11 @@ class PathQuery:
 
 # -- cycle switchings -----------------------------------------------------------
 
-def _check_member(k: SimpleGraph, host=None, partial=None, has=None, lacks=None):
-    """Refuse a K outside the host or not around the partial graph, or one
-    missing the (name, edge) `has` or holding the (name, edge) `lacks`."""
+def _check_member(k: SimpleGraph, d: int, host=None, partial=None, has=None,
+                  lacks=None):
+    """Refuse a K outside the host or not around the partial graph, one
+    missing the (name, edge) `has` or holding the (name, edge) `lacks`, or
+    one that is not d-regular."""
     if host is not None and not k.is_subgraph_of(host):
         raise ValueError("K must be a subgraph of the host")
     if partial is not None and not partial.is_subgraph_of(k):
@@ -183,6 +186,8 @@ def _check_member(k: SimpleGraph, host=None, partial=None, has=None, lacks=None)
         raise ValueError(f"{has[0]} must be an edge of K")
     if lacks and k.has_edge(*lacks[1]):
         raise ValueError(f"{lacks[0]} must be absent from K")
+    if not is_regular(k, d):
+        raise ValueError("K must be d-regular")
 
 
 def _two_path_source(rows, e, f_edge, length: int):
@@ -229,7 +234,7 @@ def switch_neighbors_le(f: SimpleGraph, d: int, k: SimpleGraph, e, ell: int) -> 
     between e's endpoints, so each such path gives one neighbor.
     """
     cycles = _le_source(f, e, ell)
-    _check_member(k, host=f, has=("e", e))
+    _check_member(k, d, host=f, has=("e", e))
     return [toggle(k, c) for c in cycles(k)]
 
 
@@ -238,7 +243,7 @@ def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
     """Mirror of switch_neighbors_le from the side that lacks e: all K' with
     e in E(K') whose symmetric difference with K is one (2*ell+2)-cycle."""
     cycles = _le_source(f, e, ell)
-    _check_member(k, host=f, lacks=("e", e))
+    _check_member(k, d, host=f, lacks=("e", e))
     return [toggle(k, c) for c in cycles(k, reverse=True)]
 
 
@@ -269,7 +274,7 @@ def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
     arbitrary; the relation is symmetric under swapping (K, e) with (K', f).
     """
     cycles = _lef_source(f, e, f_edge, ell)
-    _check_member(k, host=f, has=("e", e), lacks=("f", f_edge))
+    _check_member(k, d, host=f, has=("e", e), lacks=("f", f_edge))
     return [toggle(k, c) for c in cycles(k)]
 
 
@@ -405,14 +410,14 @@ def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> lis
     both endpoint pairings are admitted.
     """
     cycles = _ten_source(f, e, f_edge)
-    _check_member(k, partial=f, has=("e", e), lacks=("f", f_edge))
+    _check_member(k, d, partial=f, has=("e", e), lacks=("f", f_edge))
     return [toggle(k, c) for c in cycles(k)]
 
 
 def ten_cycle_degree(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> int:
     """Number of ten-cycle switchings from K (zero below 10 vertices)."""
     cycles = _ten_source(f, e, f_edge)
-    _check_member(k, partial=f, has=("e", e), lacks=("f", f_edge))
+    _check_member(k, d, partial=f, has=("e", e), lacks=("f", f_edge))
     return sum(1 for _ in cycles(k))
 
 
@@ -460,40 +465,52 @@ def _bipartite_from_switches(kind, left_graphs, cycles, meta):
     """Assemble a SwitchingGraph from a kind's cycle source.
 
     cycles(K) yields the switching cycles out of a left member and
-    cycles(K', True) those out of a right member.  Each output is keyed by
-    toggling its source's key, so a graph is built only once per distinct
-    right member, to run its reverse enumeration.  Reverse outputs are
+    cycles(K', True) those out of a right member.  Members share one vertex
+    count n, so each is keyed by its edge mask alone, and an output's mask
+    is its source's mask with the cycle's pair bits flipped.  A right member
+    is kept as the (left member, cycle) that first reached it, and its graph
+    is built only for its reverse enumeration.  Reverse outputs are
     intersected with the left class so the double count is over exactly the
-    recorded edges.
+    recorded edges.  An edge is the int left mask << width | right mask,
+    which sorts as the (left key, right key) pair; the keys (n, mask) are
+    made once per member at the end.
     """
-    left = {canonical_key(g): g for g in left_graphs}
+    left = {g.edge_mask(): g for g in left_graphs}
+    if not left:
+        return SwitchingGraph(kind, [], [], [], {}, {}, True, meta)
+    n = next(iter(left.values())).n
+    bit = _pair_bits(n)
+    width = n * (n - 1) // 2
+    low = (1 << width) - 1
     forward_edges = set()
     left_degrees = {}
     right_members = {}
-    for key, g in left.items():
+    for mask, g in left.items():
         degree = 0
         for c in cycles(g):
-            hk = toggled_key(key, c)
-            if hk not in right_members:
-                right_members[hk] = toggle(g, c)
-            forward_edges.add((key, hk))
+            hm = _toggled_mask(bit, mask, c)
+            if hm not in right_members:
+                right_members[hm] = (g, c)
+            forward_edges.add(mask << width | hm)
             degree += 1
-        left_degrees[key] = degree
-    right_keys = sorted(right_members)
+        left_degrees[mask] = degree
+    right_masks = sorted(right_members)
     reverse_edges = set()
     right_degrees = {}
-    for hk in right_keys:
-        backs = (toggled_key(hk, c) for c in cycles(right_members[hk], True))
-        inside = [bk for bk in backs if bk in left]
-        right_degrees[hk] = len(inside)
-        reverse_edges.update((bk, hk) for bk in inside)
+    for hm in right_masks:
+        h = toggle(*right_members[hm])
+        inside = [bm for bm in (_toggled_mask(bit, hm, c) for c in cycles(h, True))
+                  if bm in left]
+        right_degrees[hm] = len(inside)
+        reverse_edges.update(bm << width | hm for bm in inside)
+    key = {mask: (n, mask) for mask in (*left, *right_masks)}
     return SwitchingGraph(
         kind=kind,
-        left=sorted(left),
-        right=right_keys,
-        edges=sorted(forward_edges),
-        left_degrees=left_degrees,
-        right_degrees=right_degrees,
+        left=[key[mask] for mask in sorted(left)],
+        right=[key[hm] for hm in right_masks],
+        edges=[(key[edge >> width], key[edge & low]) for edge in sorted(forward_edges)],
+        left_degrees={key[mask]: degree for mask, degree in left_degrees.items()},
+        right_degrees={key[hm]: degree for hm, degree in right_degrees.items()},
         cross_consistent=forward_edges == reverse_edges,
         meta=meta,
     )
@@ -524,6 +541,8 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
     value, with edges the unit-decreasing six-cycle switchings."""
     cycles = _six_source(wprime, mode)
     left_members = list(left_members)
+    if len({k.n for k in left_members}) > 1:
+        raise ValueError("left members must share one vertex count")
     if not all(is_regular(k, d) for k in left_members):
         raise ValueError(f"left members must be {d}-regular")
     values = {six_cycle_statistic(k, wprime, mode) for k in left_members}

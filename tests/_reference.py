@@ -5,7 +5,8 @@ subgraphs with a given degree vector come from filtering raw edge-subset
 combinations, path counts from a layered meet-in-the-middle join instead of
 depth-first search, path polynomial profiles from every sequence of
 distinct interior vertices instead of a walk over bit rows, expansion
-statistics from the edge sets of `graphs` instead of popcounts, six-cycle
+reports from every (U', U) pair one by one, its statistic from the edge sets
+of `graphs`, instead of blocks folded to their greatest popcount, six-cycle
 switchings from every ordered vertex 6-tuple instead of a pruned walk,
 two-path switchings from every vertex sequence with the cycle's shape
 instead of a depth-first walk over bit rows, auxiliary switching graphs by
@@ -18,7 +19,6 @@ import math
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from sandwichlab.audit import _witnessed_sets
 from sandwichlab.graphs import (
     SimpleGraph,
     canonical_key,
@@ -26,6 +26,7 @@ from sandwichlab.graphs import (
     difference,
     edges_inside,
     multi_covered_edges,
+    neighborhood,
 )
 from sandwichlab.switching import SwitchingGraph
 
@@ -165,14 +166,38 @@ def brute_force_path_polynomial(k, p, x, y, order, avoid=()):
     return len(paths), by_order[0], by_order
 
 
-def expansion_report(f, k, counts_k, lam, delta, d, size_cap,
-                     log_divisor=False, witness_cap=3, pool_cap=14, samples=50,
-                     rng=None):
-    """check_expansion_k (counts_k) or check_expansion_fk as an as_dict() dict.
+def expansion_pairs(carrier, witness_cap, min_ratio, size_cap, pool_cap,
+                    samples, rng):
+    """Every (U', U) pair an expansion check visits, one by one, in its order.
 
-    Replays the same (U', U) pairs and recomputes the statistic for every pair
-    as len(multi_covered_edges) + edges_inside; size_cap must admit a set.
+    U' runs over the sets of up to witness_cap vertices, by size, and U over
+    the subsets of the pool U' + carrier-neighborhood of U' with
+    |U| >= min_ratio*|U'| and |U| <= size_cap: every subset, by size, when the
+    pool has at most pool_cap vertices, else `samples` random ones drawn from
+    rng (a size by randint, then the set by sample).
     """
+    for size in range(1, witness_cap + 1):
+        for uprime in combinations(range(1, carrier.n + 1), size):
+            pool = sorted(set(uprime) | neighborhood(carrier, uprime))
+            min_size = max(1, math.ceil(min_ratio * size))
+            if min_size > size_cap:
+                continue
+            if len(pool) <= pool_cap:
+                for usize in range(min_size, int(min(len(pool), size_cap)) + 1):
+                    for u in combinations(pool, usize):
+                        yield uprime, u
+            elif rng is not None:
+                for _ in range(samples):
+                    usize = rng.randint(min_size, int(min(len(pool), size_cap)))
+                    yield uprime, tuple(rng.sample(pool, usize))
+
+
+def expansion_instances(f, k, counts_k, lam, delta, d, size_cap,
+                        log_divisor=False, witness_cap=3, pool_cap=14,
+                        samples=50, rng=None):
+    """(property, params, stream of (margin, (U', U))) for check_expansion_k
+    (counts_k) or check_expansion_fk, the statistic recomputed for every pair
+    as len(multi_covered_edges) + edges_inside."""
     fk = difference(f, k)
     logn = math.log(f.n)
     if counts_k:
@@ -186,14 +211,24 @@ def expansion_report(f, k, counts_k, lam, delta, d, size_cap,
         factor = (lam / logn) * delta
         prop = "expansion-fk"
         params = {"lam": lam, "delta": delta, "d": d, "size_cap": size_cap}
+    pairs = expansion_pairs(carrier, witness_cap, ratio / 4, size_cap,
+                            pool_cap, samples, rng)
+    stream = ((factor * len(u) - (len(multi_covered_edges(counted, u))
+                                  + edges_inside(counted, u)), (uprime, u))
+              for uprime, u in pairs)
+    return prop, params, stream
+
+
+def expansion_report(*args, **kwargs):
+    """check_expansion_k (counts_k) or check_expansion_fk as an as_dict()
+    dict, folding expansion_instances pair by pair; size_cap must admit a set.
+    """
+    prop, params, stream = expansion_instances(*args, **kwargs)
     worst, witness, seen = float("inf"), None, 0
-    for uprime, u in _witnessed_sets(carrier.adj, f.n, witness_cap, ratio / 4,
-                                     size_cap, pool_cap, samples, rng):
+    for margin, pair in stream:
         seen += 1
-        stat = len(multi_covered_edges(counted, u)) + edges_inside(counted, u)
-        margin = factor * len(u) - stat
         if margin < worst:
-            worst, witness = margin, (uprime, u)
+            worst, witness = margin, pair
     assert seen, "no witnessed set: pick a larger size_cap"
     return {"property": prop, "params": params, "instances": seen,
             "passed": worst >= 0, "worst_margin": worst,

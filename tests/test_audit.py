@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from sandwichlab.graphs import (
     vertex_mask,
 )
 
-from _reference import expansion_report
+from _reference import expansion_instances, expansion_report
 
 
 def _planted_pair(seed, n=12, d=4, m=24):
@@ -140,6 +141,44 @@ def test_expansion_witness_reevaluates():
         assert fk_report.worst_margin == pytest.approx(expected)
 
 
+def test_expansion_refuses_a_witness_cap_below_one():
+    k, f, delta = _planted_pair(47)
+    with pytest.raises(ValueError, match="witness_cap must be at least 1, got 0"):
+        check_expansion_k(f, k, lam=0.8, d=4, delta=delta, log_divisor=False,
+                          size_cap=4, witness_cap=0, rng=random.Random(0))
+    with pytest.raises(ValueError, match="witness_cap must be at least 1, got -1"):
+        check_expansion_fk(f, k, lam=0.8, delta=delta, d=4, size_cap=4,
+                           witness_cap=-1)
+
+
+@pytest.mark.parametrize("rng, samples, reason", [
+    (None, 50, "no rng"),
+    (random.Random(0), 0, "samples 0"),
+])
+def test_expansion_with_every_pool_over_the_cap_names_the_cap(rng, samples,
+                                                              reason):
+    k, f, delta = _planted_pair(47)
+    for report in (
+            check_expansion_k(f, k, lam=0.8, d=4, delta=delta,
+                              log_divisor=False, size_cap=4, pool_cap=1,
+                              samples=samples, rng=rng),
+            check_expansion_fk(f, k, lam=0.8, delta=delta, d=4, size_cap=4,
+                               pool_cap=1, samples=samples, rng=rng)):
+        assert report.instances == 0 and report.passed
+        assert report.notes == f"vacuous: every pool exceeds pool_cap 1 and {reason}"
+
+
+def test_expansion_sampling_skips_pools_without_room_for_the_ratio():
+    # delta 8 asks |U| >= 2|U'| with |U| <= 4: only the 3 pools {1, 2, 3} of
+    # U' = {1}, {2}, {3} and the 9 pools {1, 2, 3, x} of U' = {a, x}, a <= 3 < x,
+    # have room; the others, such as {4}, must not reach the sampler
+    f = SimpleGraph(6, [(1, 2), (2, 3), (1, 3)])
+    report = check_expansion_k(f, empty_graph(6), lam=0.8, d=3, delta=8.0,
+                               log_divisor=False, size_cap=4, pool_cap=0,
+                               samples=5, rng=random.Random(0))
+    assert report.instances == 12 * 5
+
+
 @st.composite
 def _graph_and_set(draw, max_n=14):
     n = draw(st.integers(1, max_n))
@@ -156,32 +195,45 @@ def test_expansion_statistic_matches_edge_sets(g_u):
         assert _expansion_statistic(g, vertex_mask(u)) == expected
 
 
+# rows that must show a shape: "tie", several U of one (U', |U|) block at the
+# worst margin; "sampled", pools above pool_cap sampled from the rng
+_EXPANSION_SHAPES = {(12, 4, 24, 2, 1, 14): "tie", (12, 4, 24, 3, 2, 4): "sampled"}
+
+
 @pytest.mark.parametrize("n, d, m, size_cap, witness_cap, pool_cap", [
     (10, 3, 12, 4, 3, 14),
     (12, 4, 24, 3, 3, 14),
     (14, 3, 21, 3, 2, 14),
     (12, 4, 24, 4, 3, 5),
     (14, 3, 21, 5, 3, 6),
+    *_EXPANSION_SHAPES,
 ])
 def test_expansion_reports_match_per_pair_reference(n, d, m, size_cap,
                                                     witness_cap, pool_cap):
+    shape = _EXPANSION_SHAPES.get((n, d, m, size_cap, witness_cap, pool_cap))
+    shapes = set()
     for seed in range(2):
         k, f, delta = _planted_pair(60 + seed, n=n, d=d, m=m)
         for lam in (0.8, 4.0):
             kw = dict(size_cap=size_cap, witness_cap=witness_cap,
                       pool_cap=pool_cap, samples=20)
-            got = check_expansion_k(f, k, lam=lam, d=d, delta=delta,
-                                    log_divisor=bool(seed),
-                                    rng=random.Random(seed), **kw)
-            want = expansion_report(f, k, True, lam, delta, d,
-                                    log_divisor=bool(seed),
-                                    rng=random.Random(seed), **kw)
-            assert got.as_dict() == want
-            got = check_expansion_fk(f, k, lam=lam, delta=delta, d=d,
-                                     rng=random.Random(seed), **kw)
-            want = expansion_report(f, k, False, lam, delta, d,
-                                    rng=random.Random(seed), **kw)
-            assert got.as_dict() == want
+            for counts_k, check, args, extra in (
+                    (True, check_expansion_k, (lam, d, delta),
+                     {"log_divisor": bool(seed)}),
+                    (False, check_expansion_fk, (lam, delta, d), {})):
+                got = check(f, k, *args, rng=random.Random(seed), **extra, **kw)
+                ref = (f, k, counts_k, lam, delta, d)
+                want = expansion_report(*ref, rng=random.Random(seed), **extra, **kw)
+                assert got.as_dict() == want
+                rng = random.Random(seed)
+                _, _, stream = expansion_instances(*ref, rng=rng, **extra, **kw)
+                at_worst = [(uprime, len(u)) for margin, (uprime, u) in stream
+                            if margin == want["worst_margin"]]
+                if max(Counter(at_worst).values()) > 1:
+                    shapes.add("tie")
+                if rng.random() != random.Random(seed).random():
+                    shapes.add("sampled")
+    assert shape is None or shape in shapes
 
 
 def test_local_density_trivia():

@@ -235,6 +235,27 @@ def test_switch_neighbors_refuse_k_outside_the_host():
             call()
 
 
+def test_switch_neighbors_refuse_k_not_d_regular():
+    # C6 is 2-regular, so every call below names d = 3 wrongly
+    k6 = complete_graph(6)
+    c6 = cycle_graph(6)
+    partial = c6.without_edge(1, 2).without_edge(3, 4)
+    assert len(switch_neighbors_le(k6, 2, c6, (1, 2), 1)) == 4
+    cases = (lambda: switch_neighbors_le(k6, 3, c6, (1, 2), 1),
+             lambda: switch_neighbors_le_absent(k6, 3, c6, (1, 3), 1),
+             lambda: switch_neighbors_lef(k6, 3, c6, (1, 2), (3, 5), 1),
+             lambda: ten_cycle_switches(partial, 3, c6, (1, 2), (3, 6)),
+             lambda: ten_cycle_degree(partial, 3, c6, (1, 2), (3, 6)))
+    for call in cases:
+        with pytest.raises(ValueError, match="K must be d-regular"):
+            call()
+
+
+def test_six_cycle_graph_refuses_mixed_vertex_counts():
+    with pytest.raises(ValueError, match="left members must share one vertex count"):
+        build_six_cycle_graph(2, (1, 2), "two-in", [cycle_graph(6), cycle_graph(7)])
+
+
 # a 2-regular K inside a host missing 1-4 and 3-6, the K lacking 1-2 that
 # le_absent starts from, and K less 1-2 and 3-4 as the ten-cycle partial graph
 _C6 = SimpleGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
