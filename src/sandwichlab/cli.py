@@ -14,7 +14,6 @@ import math
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,6 +74,10 @@ class ExperimentConfig:
     out: str = None
     format: str = "json"
 
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
+
     def as_dict(self) -> dict:
         # where the report is written is not part of what it reproduces
         return {k: v for k, v in vars(self).items() if k != "out"}
@@ -116,9 +119,12 @@ def _lower_trial(payload):
 
 
 def _map_trials(worker, payloads, jobs):
+    # a fork-started pool forks all its workers at once, used or not
+    jobs = min(jobs, len(payloads))
     if jobs <= 1:
         results = [worker(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(payloads) // (jobs * 4))
             results = list(pool.map(worker, payloads, chunksize=chunk))

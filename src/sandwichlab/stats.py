@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from scipy import stats as _scipy_stats
-
 from .graphs import (SimpleGraph, canonical_pair, complement, complete_graph,
                      pair_list)
 from .oracle import CapacityError, count_regular_spanning_subgraphs, enumerate_regular
@@ -143,6 +141,17 @@ def schedule_mass(params: ModelParams) -> ScheduleMass:
 
 # -- goodness of fit -----------------------------------------------------------------
 
+def _scipy_stats():
+    """scipy.stats, imported on first use.
+
+    Loading it is nearly all of what `import sandwichlab` would cost (about
+    1.2 s and 80 MB on a 2-vCPU VM), and only a p-value or a Clopper-Pearson
+    bound needs it; exact-law, switching and audit runs never do.
+    """
+    from scipy import stats
+    return stats
+
+
 @dataclass
 class FitResult:
     statistic: float
@@ -193,7 +202,7 @@ def chi_square_uniformity(samples, law, min_expected: float = 5.0) -> FitResult:
         return FitResult(0.0, 0, 1.0, kept)
     statistic = sum((obs - exp) ** 2 / exp for _, obs, exp in kept)
     dof = len(kept) - 1
-    p_value = float(_scipy_stats.chi2.sf(statistic, dof))
+    p_value = float(_scipy_stats().chi2.sf(statistic, dof))
     return FitResult(statistic, dof, p_value, kept)
 
 
@@ -218,12 +227,12 @@ def containment_rate(outcomes, confidence: float = 0.99) -> RateEstimate:
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(_scipy_stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+        lo = float(_scipy_stats().beta.ppf(alpha / 2, successes, trials - successes + 1))
     if successes == trials:
         hi = 1.0
     else:
-        hi = float(_scipy_stats.beta.ppf(1 - alpha / 2, successes + 1,
-                                         trials - successes))
+        hi = float(_scipy_stats().beta.ppf(1 - alpha / 2, successes + 1,
+                                           trials - successes))
     return RateEstimate(successes, trials, successes / trials, lo, hi, confidence)
 
 

@@ -68,6 +68,44 @@ def test_parallel_trials_match_serial():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_pool_never_outnumbers_the_trials(monkeypatch):
+    import concurrent.futures
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = run_experiment(ExperimentConfig("couple-upper", {"n": 6, "d": 3},
+                                             seed=2, trials=3))
+    assert started == []
+    for jobs, trials, workers in ((64, 3, [3]), (2, 5, [2]), (8, 1, [])):
+        started.clear()
+        report = run_experiment(ExperimentConfig("couple-upper", {"n": 6, "d": 3},
+                                                 seed=2, trials=trials, jobs=jobs))
+        assert started == workers
+        if trials == 3:
+            assert report["results"] == serial["results"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    assert main(["couple-upper", "--n", "6", "--d", "3", "--jobs", jobs]) == 2
+    assert "error: jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_couple_lower_runs():
     config = ExperimentConfig("couple-lower", {"n": 6, "d": 3}, seed=7, trials=10)
     report = run_experiment(config)

@@ -195,6 +195,34 @@ def test_containment_rate_interval():
         containment_rate([])
 
 
+def _binomial_tail(n, p, ks):
+    return math.fsum(math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in ks)
+
+
+def test_containment_rate_bounds_are_exact_binomial_tails():
+    # a Clopper-Pearson bound leaves alpha/2 in the binomial tail beyond it
+    for n, s in ((10, 3), (50, 49), (7, 1)):
+        est = containment_rate([True] * s + [False] * (n - s))
+        alpha = 1 - est.confidence
+        assert abs(_binomial_tail(n, est.lo, range(s, n + 1)) - alpha / 2) < 1e-9
+        assert abs(_binomial_tail(n, est.hi, range(s + 1)) - alpha / 2) < 1e-9
+    assert containment_rate([False] * 7).lo == 0.0
+    assert containment_rate([True] * 7).hi == 1.0
+
+
+def test_chi_square_p_value_is_the_even_dof_tail():
+    # with 2k degrees of freedom, P(chi2 > x) = exp(-x/2) sum_{i<k} (x/2)^i / i!
+    for counts in ((30, 45, 25), (30, 25, 20, 15, 10), (9, 14, 21, 17, 12, 16, 11)):
+        law = {i: Fraction(1, len(counts)) for i in range(len(counts))}
+        samples = [i for i, c in enumerate(counts) for _ in range(c)]
+        fit = chi_square_uniformity(samples, law)
+        k, half = fit.dof // 2, fit.statistic / 2
+        assert fit.dof == 2 * k == len(counts) - 1
+        tail = math.exp(-half) * math.fsum(half ** i / math.factorial(i)
+                                           for i in range(k))
+        assert fit.p_value == pytest.approx(tail, rel=1e-12, abs=0)
+
+
 def test_translation_trivial_predicates():
     params = ModelParams(n=5, d=2, m=2)
     always = translation_check(params, lambda f, k: True)
