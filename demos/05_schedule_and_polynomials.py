@@ -13,17 +13,15 @@ from fractions import Fraction
 
 from sandwichlab import (
     ModelParams,
-    eta_schedule,
     path_polynomial_stats,
     schedule_mass,
     uniform_regular,
 )
 
 params = ModelParams(n=16, d=6, c0=1.0, mu=0.1)
-sched = eta_schedule(params)
-print("stage slack eta_i at n=16, d=6 (limit", sched.limit, "):")
+print("stage slack eta_i at n=16, d=6 (limit", params.steps_upper, "):")
 for i in (0, 10, 30, 50, 60, 70, 71, 72, 80):
-    print(f"  eta({i:2d}) = {sched.eta(i):.4f}")
+    print(f"  eta({i:2d}) = {params.stage_slack(i):.4f}")
 
 print("\nschedule mass over a small grid:")
 for n, d, c0 in ((8, 3, 1.0), (12, 4, 1.0), (16, 6, 1.0), (16, 6, 0.02)):

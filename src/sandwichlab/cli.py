@@ -197,7 +197,7 @@ def _cmd_audit(config):
     params = _params_from(opts)
     rng = random.Random(derive_seed(config.seed, "audit"))
     k, f = sample_f(params, rng)
-    delta = 2 * params.m / params.n
+    delta = params.delta
     lam = opts.get("lam", 0.5)
 
     def given(*names):
@@ -239,8 +239,7 @@ def _cmd_kimvu(config):
     params = _params_from(opts)
     rng = random.Random(derive_seed(config.seed, "kimvu"))
     k_graph, _ = sample_f(params, rng)
-    stat = path_polynomial_stats(k_graph, Fraction(params.m,
-                                                   params.npairs - params.dn_half),
+    stat = path_polynomial_stats(k_graph, Fraction(params.m, params.steps_upper),
                                  opts["x"], opts["y"], opts.get("k", 2),
                                  z=_parse_vertices(opts.get("avoid", "")))
     results = {
@@ -262,9 +261,7 @@ def _cmd_schedule_mass(config):
     params = _params_from(config.options)
     mass = schedule_mass(params)
     # exact scaling in c0 is part of the contract; surface it in the report
-    base = schedule_mass(ModelParams(n=params.n, d=params.d, eps=params.eps,
-                                     c0=1.0, mu=params.mu))
-    scaling_exact = mass.e_s == params.c0 * base.base_sum
+    scaling_exact = mass.e_s == params.c0 * mass.base_sum
     row = {"n": params.n, "d": params.d, "eps": params.eps, "c0": params.c0,
            "mu": params.mu, "e_s": mass.e_s, "half_r": mass.r / 2,
            "passed": mass.passed}

@@ -66,14 +66,17 @@ class ModelParams:
             raise ValueError("dn must be even for the coupled processes")
         if self.m is not None and self.m < 0:
             raise ValueError("m must be nonnegative")
-        # a negative eps gives a negative horizon shift R and p_lower > p_upper
-        if not self.eps >= 0:
-            raise ValueError("eps must be nonnegative")
-        # a negative eta puts the lower horizon floor(dn/2 - eta*n) above
-        # C(n,2), so the first-appearance scan would wait for pairs that
-        # do not exist
-        if not self.eta >= 0:
-            raise ValueError("eta must be nonnegative")
+        # a negative eps gives a negative horizon shift R and p_lower >
+        # p_upper; a negative eta puts the lower horizon floor(dn/2 - eta*n)
+        # above C(n,2), so the first-appearance scan would wait for pairs
+        # that do not exist; a negative c0 or mu gives a negative slack
+        # eta_i, so the schedule mass is negative and always within budget.
+        # An infinite eps or eta overflows int() in R or n_lower, a NaN c0
+        # or mu makes the companion thresholds NaN, and an infinite one the
+        # schedule mass infinite.
+        for name in ("eps", "eta", "c0", "mu"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         # the companion waits for a tape variate in [0,1) at or below its
         # threshold, which is at least tau_floor: a zero floor can wait forever
         if not 0.0 < self.tau_floor <= 1.0:
@@ -133,58 +136,36 @@ class ModelParams:
         if self.m is None:
             raise ValueError("this quantity needs the planted edge count m")
 
-
-@dataclass(frozen=True)
-class EtaSchedule:
-    """The stage-dependent slack eta_i driving the companion deletion thresholds."""
-
-    n: int
-    d: int
-    eps: float
-    c0: float
-    mu: float
-
-    @property
-    def limit(self) -> int:
-        return self.n * (self.n - 1) // 2 - self.d * self.n // 2
-
-    @property
-    def R(self) -> int:
-        return int(self.eps * self.d * self.n / 8)
-
-    def eta(self, i: int) -> float:
-        if i >= self.limit:
+    def stage_slack(self, i: int) -> float:
+        """The slack eta_i of the companion schedule; 0 from stage
+        C(n,2) - dn/2 on."""
+        limit = self.steps_upper
+        if i >= limit:
             return 0.0
         logn = math.log(self.n)
-        return self.c0 * max(self.mu / logn, (self.n * logn / (self.limit - i)) ** 0.125)
+        return self.c0 * max(self.mu / logn, (self.n * logn / (limit - i)) ** 0.125)
 
-    def values(self, upto: int = None) -> list:
-        upto = self.limit if upto is None else upto
-        return [self.eta(i) for i in range(upto)]
+    def threshold_gap(self, i: int) -> float:
+        """1 - tau_i for the raw companion threshold tau_i,
+        eta_{i+R-1}*(dn/2)/(C(n,2)-dn/2-R-(i-1)), for stages i up to
+        C(n,2) - dn/2 - R."""
+        r = self.R
+        return (self.stage_slack(i + r - 1) * (self.d * self.n / 2)
+                / (self.steps_upper - r - (i - 1)))
 
 
-def eta_schedule(params: ModelParams) -> EtaSchedule:
-    return EtaSchedule(params.n, params.d, params.eps, params.c0, params.mu)
-
-
-def companion_threshold(params: ModelParams, schedule: EtaSchedule, i: int,
-                        clamped: bool = True) -> float:
+def companion_threshold(params: ModelParams, i: int) -> float:
     """Stage-i acceptance threshold of the companion deletion rule.
 
-    1 - eta_{i+R-1}*(dn/2)/(C(n,2)-dn/2-R-(i-1)) inside the scheduled regime,
-    1 afterwards.  The raw value is negative at small n for the default
-    constants, which would stall the stage process, so by default it is
-    clamped into [tau_floor, 1]; the clamp depends on the stage index only,
-    which is all the symmetry argument behind the stage law needs.
+    1 - params.threshold_gap(i) inside the scheduled regime, 1 afterwards.
+    The raw value is negative at small n for the default constants, which
+    would stall the stage process, so it is clamped into [tau_floor, 1]; the
+    clamp depends on the stage index only, which is all the symmetry argument
+    behind the stage law needs.
     """
-    limit = params.steps_upper
-    r = schedule.R
-    if i > limit - r:
+    if i > params.steps_upper - params.R:
         return 1.0
-    raw = 1.0 - schedule.eta(i + r - 1) * (params.d * params.n / 2) / (limit - r - (i - 1))
-    if not clamped:
-        return raw
-    return min(1.0, max(params.tau_floor, raw))
+    return min(1.0, max(params.tau_floor, 1.0 - params.threshold_gap(i)))
 
 
 # -- transcripts ------------------------------------------------------------
@@ -300,8 +281,7 @@ def _first_appearances(tape: RandomnessTape, k: int):
 @lru_cache
 def _companion_thresholds(params: ModelParams) -> tuple:
     """(None, tau_1, ..., tau_C(n,2)): the clamped companion threshold of each stage."""
-    schedule = eta_schedule(params)
-    return (None,) + tuple(companion_threshold(params, schedule, i)
+    return (None,) + tuple(companion_threshold(params, i)
                            for i in range(1, params.npairs + 1))
 
 
@@ -357,16 +337,34 @@ def run_gstar(params: ModelParams, tape: RandomnessTape):
 
 @dataclass
 class ReferenceRun:
-    """First-appearance deletion sequence and its threshold-gated shadow."""
+    """First-appearance deletion sequence and its threshold-gated shadow.
 
-    n: int
-    R: int
-    horizon: int
+    Holds what the tape gave: the first C(n,2) distinct tape pairs, their
+    tape indices, and whether each passed its stage threshold.  Everything
+    else is read off those and the parameters.
+    """
+
+    params: ModelParams
     k_indices: list
     edges: list
     deleted: list
-    e_h_horizon: int
-    e_gplus_horizon: int
+
+    @property
+    def R(self) -> int:
+        return self.params.R
+
+    @property
+    def horizon(self) -> int:
+        return self.params.n_budget
+
+    @property
+    def e_h_horizon(self) -> int:
+        """e(H_N): H removes every edge on its first tape appearance."""
+        return self.params.npairs - self.horizon
+
+    @property
+    def e_gplus_horizon(self) -> int:
+        return self.params.npairs - sum(1 for ok in self.deleted[: self.horizon] if ok)
 
     @property
     def failures(self) -> int:
@@ -386,18 +384,14 @@ def run_reference_sequences(params: ModelParams, tape: RandomnessTape) -> Refere
     among the first N distinct edges.
     """
     thresholds = _companion_thresholds(params)
-    npairs = params.npairs
-    horizon = params.n_budget
     k_indices = []
     edges = []
     deleted = []
-    for i, (t, e) in enumerate(_first_appearances(tape, npairs), 1):
+    for i, (t, e) in enumerate(_first_appearances(tape, params.npairs), 1):
         k_indices.append(t)
         edges.append(e)
         deleted.append(tape.x(t) <= thresholds[i])
-    e_h = npairs - horizon
-    e_gplus = npairs - sum(1 for ok in deleted[:horizon] if ok)
-    return ReferenceRun(params.n, params.R, horizon, k_indices, edges, deleted, e_h, e_gplus)
+    return ReferenceRun(params, k_indices, edges, deleted)
 
 
 @dataclass
@@ -683,16 +677,12 @@ def class_kernel_step(law: ClassLaw, d: int, direction: str) -> ClassLaw:
     return _kernel_step(law, d, direction, _canonical_form)
 
 
-def _check_exact_ceiling(params: ModelParams):
-    """Raise CapacityError when n is above the exact-analysis ceiling."""
+def _last_stage(params: ModelParams, direction: str) -> int:
+    """Index of the final stage of the exact analysis in the given direction;
+    CapacityError when n is above the exact-analysis ceiling."""
     if params.n > params.exact_ceiling:
         raise CapacityError(f"n={params.n} exceeds exact-analysis ceiling "
                             f"{params.exact_ceiling}")
-
-
-def _last_stage(params: ModelParams, direction: str) -> int:
-    """Index of the final stage of the exact analysis in the given direction."""
-    _check_exact_ceiling(params)
     if direction == "delete":
         return params.steps_upper
     if direction == "add":
@@ -740,6 +730,20 @@ def exact_marginal(params: ModelParams, i: int, direction: str) -> ClassLaw:
     return next(islice(exact_stage_laws(params, direction), i, None))
 
 
+def _closed_form(params: ModelParams, direction: str) -> tuple:
+    """(weight, last, normaliser) of the closed-form stage laws.
+
+    Stage i of 0..last gives each labeled F it can reach probability
+    weight(F) / normaliser(i), where weight(F) is |K_d(F)| (delete) or
+    |{K : F in K}| (add) and normaliser(i) = |K_d(n)| * C(last, last - i).
+    """
+    last = _last_stage(params, direction)
+    d = params.d
+    count = count_regular_spanning_subgraphs if direction == "delete" else count_extensions
+    k_total = count_regular_spanning_subgraphs(complete_graph(params.n), d)
+    return (lambda g: count(g, d)), last, (lambda i: k_total * math.comb(last, last - i))
+
+
 def closed_form_law(params: ModelParams, i: int, direction: str) -> ClassLaw:
     """Exact stage-i law from the closed form, over labeled graphs.
 
@@ -749,18 +753,12 @@ def closed_form_law(params: ModelParams, i: int, direction: str) -> ClassLaw:
     Every labeled edge subset is enumerated, so this is a reference that
     shares nothing with the kernel.
     """
-    last = _last_stage(params, direction)
+    weight, last, normaliser = _closed_form(params, direction)
     if not 0 <= i <= last:
         raise ValueError("stage out of range")
-    n, d = params.n, params.d
-    k_total = count_regular_spanning_subgraphs(complete_graph(n), d)
-    denominator = k_total * math.comb(last, last - i)
-    if direction == "delete":
-        edge_count = params.npairs - i
-        weight = lambda g: count_regular_spanning_subgraphs(g, d)
-    else:
-        edge_count = i
-        weight = lambda g: count_extensions(g, d)
+    n = params.n
+    denominator = normaliser(i)
+    edge_count = params.npairs - i if direction == "delete" else i
     graphs = {}
     probs = {}
     for edges in combinations(pair_list(n), edge_count):
@@ -882,19 +880,16 @@ def closed_form_class_laws(params: ModelParams, direction: str) -> list:
     The closed form is then evaluated once per class, and each law is
     checked to sum to exactly 1 over labeled graphs.
     """
-    last = _last_stage(params, direction)
-    n, d = params.n, params.d
-    delete = direction == "delete"
-    weight = count_regular_spanning_subgraphs if delete else count_extensions
-    k_total = count_regular_spanning_subgraphs(complete_graph(n), d)
-    graphs, sizes = map(dict, _regular_classes(n, d))
+    weight, last, normaliser = _closed_form(params, direction)
+    n = params.n
+    graphs, sizes = map(dict, _regular_classes(n, params.d))
     laws = []
     for stage in range(last, -1, -1):
-        denominator = k_total * math.comb(last, last - stage)
-        probs = {c: Fraction(weight(g, d), denominator) for c, g in graphs.items()}
+        denominator = normaliser(stage)
+        probs = {c: Fraction(weight(g), denominator) for c, g in graphs.items()}
         laws.append(ClassLaw(n, graphs, probs, sizes).check())
         if stage:
-            graphs, sizes = _earlier_support(graphs, sizes, delete)
+            graphs, sizes = _earlier_support(graphs, sizes, direction == "delete")
     return laws[::-1]
 
 

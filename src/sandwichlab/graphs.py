@@ -304,12 +304,6 @@ def _toggled_mask(bit, mask, cycle) -> int:
     return mask
 
 
-def toggled_key(key, cycle):
-    """canonical_key(toggle(g, cycle)) from key == canonical_key(g)."""
-    n, mask = key
-    return (n, _toggled_mask(_pair_bits(n), mask, cycle))
-
-
 def _twins(adj, u: int, v: int) -> bool:
     """N(u) - v == N(v) - u: the transposition (u v) is an automorphism."""
     return not (adj[u] ^ adj[v]) & ~((1 << u) | (1 << v))

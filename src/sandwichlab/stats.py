@@ -11,14 +11,14 @@ inequality is re-proved here, only computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
 from .graphs import (SimpleGraph, canonical_pair, complement, complete_graph,
                      pair_list)
-from .oracle import CapacityError, count_regular_spanning_subgraphs, enumerate_regular
-from .coupling import ClassLaw, EtaSchedule, ModelParams, _check_exact_ceiling
+from .oracle import CapacityError, enumerate_regular
+from .coupling import ClassLaw, ModelParams, _closed_form
 from .switching import alternating_paths
 
 
@@ -124,19 +124,18 @@ class ScheduleMass:
 def schedule_mass(params: ModelParams) -> ScheduleMass:
     """Finite sum E S of the companion-threshold failure probabilities.
 
-    E S = sum over the first N = C(n,2)-dn/2-2R stages of
-    eta_{i+R-1}*(dn/2)/(C(n,2)-dn/2-R-i+1); reported against the budget R/2.
+    E S = sum over the first N = C(n,2)-dn/2-2R stages of the gaps
+    1 - tau_i (ModelParams.threshold_gap); reported against the budget R/2.
     E S is computed as c0 times a c0-free base sum, so scaling in c0 is exact.
     """
-    unit = EtaSchedule(params.n, params.d, params.eps, 1.0, params.mu)
-    r = unit.R
+    unit = replace(params, c0=1.0)
     horizon = max(0, params.n_budget)
-    dn_half = params.d * params.n / 2
     base = 0.0
+    # a plain left-to-right loop: sum() rounds floats differently from 3.12 on
     for i in range(1, horizon + 1):
-        base += unit.eta(i + r - 1) * dn_half / (params.steps_upper - r - i + 1)
+        base += unit.threshold_gap(i)
     e_s = params.c0 * base
-    return ScheduleMass(e_s, r, e_s <= r / 2, horizon, base)
+    return ScheduleMass(e_s, params.R, e_s <= params.R / 2, horizon, base)
 
 
 # -- goodness of fit -----------------------------------------------------------------
@@ -258,12 +257,12 @@ def translation_check(params: ModelParams, predicate,
     has a failing-subgraph proportion exceeding t.
     """
     params._need_m()
-    _check_exact_ceiling(params)
+    _, last, normaliser = _closed_form(params, "delete")
     n, d, m = params.n, params.d, params.m
-    if not 0 <= m <= params.steps_upper:
+    if not 0 <= m <= last:
         raise ValueError("m out of range")
-    denominator = (count_regular_spanning_subgraphs(complete_graph(n), d)
-                   * math.comb(params.steps_upper, m))
+    # the planted pair is the delete process's stage with m non-K edges left
+    denominator = normaliser(last - m)
     # left side: enumerate the planted pairs (K, E)
     lhs_bad = 0
     pairs = 0

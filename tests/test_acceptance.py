@@ -26,7 +26,6 @@ import pytest
 from sandwichlab.coupling import (
     ModelParams,
     closed_form_law,
-    eta_schedule,
     exact_marginal,
     run_coupled_lower,
     run_coupled_upper,
@@ -378,11 +377,10 @@ def test_criterion_10_schedule_mass():
             params = ModelParams(n=n, d=d, eps=eps, c0=c0, mu=mu)
             mass = schedule_mass(params)
             # independent recomputation of the finite sum
-            sched = eta_schedule(params)
-            r = sched.R
+            r = params.R
             direct = 0.0
             for i in range(params.n_budget, 0, -1):  # reversed accumulation
-                direct += sched.eta(i + r - 1) * (d * n / 2) \
+                direct += params.stage_slack(i + r - 1) * (d * n / 2) \
                     / (params.steps_upper - r - i + 1)
             assert mass.e_s == pytest.approx(direct, rel=1e-12)
             # exact scaling in c0

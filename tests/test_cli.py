@@ -267,6 +267,21 @@ def test_negative_eps_is_a_usage_error(capsys):
         assert "error: eps must be nonnegative" in capsys.readouterr().err
 
 
+def test_nonfinite_or_negative_constants_are_usage_errors(capsys):
+    # not an OverflowError traceback, the exit code of a failed hard check,
+    # NaN thresholds, nor a negative schedule mass within budget
+    for argv in (["couple-upper", "--trials", "1", "--eps", "inf"],
+                 ["schedule-mass", "--eps", "inf"],
+                 ["couple-lower", "--trials", "1", "--eta", "inf"],
+                 ["schedule-mass", "--c0", "nan"],
+                 ["schedule-mass", "--mu", "nan"],
+                 ["couple-upper", "--trials", "1", "--c0", "nan"],
+                 ["schedule-mass", "--c0", "-1"]):
+        assert main([*argv, "--n", "6", "--d", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be nonnegative and finite" in err
+
+
 def test_fit_without_samples_is_a_usage_error(capsys):
     # no samples would give a vacuous fit (dof 0, p_value 1.0)
     for trials in ("0", "-5"):

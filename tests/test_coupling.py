@@ -15,7 +15,6 @@ from sandwichlab.coupling import (
     closed_form_class_laws,
     closed_form_law,
     companion_threshold,
-    eta_schedule,
     exact_kernel_step,
     exact_marginal,
     exact_stage_laws,
@@ -40,7 +39,7 @@ from sandwichlab.graphs import (
     is_regular,
 )
 from sandwichlab.oracle import CapacityError, spanning_profile
-from sandwichlab.stats import chi_square_uniformity
+from sandwichlab.stats import chi_square_uniformity, schedule_mass
 from sandwichlab.tape import MAX_DRAWS, RandomnessTape, TapeBoundError, derive_seed
 
 from _reference import expand_class_law
@@ -48,29 +47,27 @@ from _reference import expand_class_law
 
 def test_eta_schedule_formula_and_support():
     params = ModelParams(n=16, d=6, c0=1.0, mu=0.1)
-    sched = eta_schedule(params)
     logn = math.log(16)
     expected = max(0.1 / logn, (16 * logn / 72) ** 0.125)
-    assert sched.eta(0) == pytest.approx(expected, abs=1e-14)
+    assert params.stage_slack(0) == pytest.approx(expected, abs=1e-14)
     # frozen value from an independent calculator run
-    assert sched.eta(0) == pytest.approx(0.9412589469421757, abs=1e-12)
-    assert sched.eta(sched.limit) == 0.0
-    assert sched.eta(sched.limit + 5) == 0.0
-    values = sched.values()
+    assert params.stage_slack(0) == pytest.approx(0.9412589469421757, abs=1e-12)
+    assert params.stage_slack(params.steps_upper) == 0.0
+    assert params.stage_slack(params.steps_upper + 5) == 0.0
+    values = [params.stage_slack(i) for i in range(params.steps_upper)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_companion_threshold_clamped_and_monotone():
     params = ModelParams(n=8, d=3)
-    sched = eta_schedule(params)
     limit = params.steps_upper
-    taus = [companion_threshold(params, sched, i) for i in range(1, params.npairs + 1)]
+    taus = [companion_threshold(params, i) for i in range(1, params.npairs + 1)]
     assert all(params.tau_floor <= t <= 1.0 for t in taus)
-    regime = taus[: limit - sched.R]
+    regime = taus[: limit - params.R]
     assert all(a >= b - 1e-12 for a, b in zip(regime, regime[1:]))
-    assert all(t == 1.0 for t in taus[limit - sched.R:])
+    assert all(t == 1.0 for t in taus[limit - params.R:])
     # raw formula really is negative here, which is what forces the clamp
-    assert companion_threshold(params, sched, limit - sched.R, clamped=False) < 0
+    assert 1.0 - params.threshold_gap(limit - params.R) < 0
 
 
 def test_upper_deletion_already_regular():
@@ -190,6 +187,27 @@ def test_golden_transcripts(n):
     assert digests == GOLDEN_DIGESTS[n]
     # at n=8 these seeds reach the containment chain, so its loop is pinned too
     assert checked == {6: 0, 8: 6}[n]
+
+
+# non-default constants; test_golden_transcripts covers the defaults
+SCHEDULE_PIN_GRID = [(n, d, eps, c0, mu) for n in (6, 8, 12, 16) for d in (3, 4)
+                     for eps in (0.0, 0.9, 1.1) for c0 in (0.0, 0.02, 1.0, 3.0)
+                     for mu in (0.05, 0.1)]
+SCHEDULE_PIN = "7bee15b7ceb78a6b5e13b211d43c8259d04e199a483bd6b35fca152a0364b24f"
+
+
+def test_schedule_pin():
+    # every bit of the clamped thresholds, the gaps 1 - raw tau_i inside the
+    # scheduled regime, and the schedule mass with its c0-free base sum
+    digest = hashlib.sha256()
+    for n, d, eps, c0, mu in SCHEDULE_PIN_GRID:
+        params = ModelParams(n=n, d=d, eps=eps, c0=c0, mu=mu)
+        taus = [companion_threshold(params, i) for i in range(1, params.npairs + 1)]
+        gaps = [params.threshold_gap(i) for i in range(1, params.steps_upper - params.R + 1)]
+        mass = schedule_mass(params)
+        digest.update(repr([x.hex() for x in (*taus, *gaps, mass.e_s, mass.base_sum)])
+                      .encode())
+    assert digest.hexdigest() == SCHEDULE_PIN
 
 
 def test_reference_sequences_basics():
@@ -367,6 +385,17 @@ def test_negative_eps_rejected():
             ModelParams(n=6, d=3, eps=eps)
     assert ModelParams(n=6, d=3, eps=0.0).R == 0
     assert ModelParams(n=8, d=3, eps=1.1).R == 3  # eps above 1 stays allowed
+
+
+def test_nonfinite_and_negative_constants_rejected():
+    # an infinite eps or eta overflowed int() in R or n_lower, a NaN c0 or
+    # mu gave NaN thresholds, and a negative c0 a negative schedule mass
+    inf, nan = float("inf"), float("nan")
+    for name, value in [("eps", inf), ("eta", inf), ("c0", nan), ("c0", inf),
+                        ("c0", -1.0), ("mu", nan), ("mu", inf), ("mu", -0.1)]:
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+            ModelParams(n=6, d=3, **{name: value})
+    assert ModelParams(n=6, d=3, c0=0.0, mu=0.0).stage_slack(0) == 0.0
 
 
 def test_exact_analysis_capacity():

@@ -65,11 +65,9 @@ def test_schedule_mass_monotone_in_c0():
 
 def test_schedule_mass_matches_direct_sum():
     params = ModelParams(n=10, d=4, c0=1.3, mu=0.2, eps=0.8)
-    from sandwichlab.coupling import eta_schedule
-    sched = eta_schedule(params)
-    r = sched.R
+    r = params.R
     direct = sum(
-        sched.eta(i + r - 1) * (params.d * params.n / 2)
+        params.stage_slack(i + r - 1) * (params.d * params.n / 2)
         / (params.steps_upper - r - i + 1)
         for i in range(1, params.n_budget + 1)
     )
