@@ -100,6 +100,10 @@ def _require_subgraph(k: SimpleGraph, f: SimpleGraph):
         raise ValueError("K must be a subgraph of F")
 
 
+# the note of a check whose bound divides by delta, at delta = 0
+_ZERO_DELTA = "delta = 0 leaves the bound undefined"
+
+
 def _require_floor(size_floor):
     """A set below one vertex would put 0 in the density ratio's denominator."""
     if size_floor < 1:
@@ -126,6 +130,9 @@ def check_fk_degrees(f: SimpleGraph, k: SimpleGraph, delta: float,
                      band_constant: float) -> PropertyReport:
     """Every F\\K degree must lie within (1 +/- C'*sqrt(log n/delta))*delta."""
     _require_subgraph(k, f)
+    if delta == 0:
+        return _vacuous("fk-degrees", {"delta": delta, "band_constant": band_constant,
+                                       "band": None}, _ZERO_DELTA)
     band = band_constant * math.sqrt(math.log(f.n) / delta)
     return _degree_band("fk-degrees",
                         {"delta": delta, "band_constant": band_constant,
@@ -141,6 +148,9 @@ def check_neighborhood_sums(f: SimpleGraph, k: SimpleGraph, delta: float,
     tol defaults to 2/delta.
     """
     _require_subgraph(k, f)
+    if delta == 0:
+        return _vacuous("neighborhood-sums", {"delta": delta, "d": d, "tol": tol},
+                        _ZERO_DELTA)
     t = 2.0 / delta if tol is None else tol
     fk = difference(f, k)
     fk_deg = [0] + [fk.degree(v) for v in f.vertices()]
@@ -297,6 +307,10 @@ def check_expansion_fk(f: SimpleGraph, k: SimpleGraph, lam: float, delta: float,
                        size_cap: float = None, samples: int = 50,
                        rng=None) -> PropertyReport:
     """Mirror of check_expansion_k with the roles of K and F\\K swapped."""
+    if delta == 0:
+        _require_subgraph(k, f)
+        return _vacuous("expansion-fk", {"lam": lam, "delta": delta, "d": d,
+                                         "size_cap": size_cap}, _ZERO_DELTA)
     n = f.n
     logn = math.log(n)
     if size_cap is None:

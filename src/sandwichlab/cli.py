@@ -237,6 +237,9 @@ def _cmd_audit(config):
 def _cmd_kimvu(config):
     opts = config.options
     params = _params_from(opts)
+    # F adds each non-edge of K with probability m / steps_upper
+    if not params.steps_upper:
+        raise ValueError("kimvu needs d < n-1: K_d(n) is complete, so F adds no edge")
     rng = random.Random(derive_seed(config.seed, "kimvu"))
     k_graph, _ = sample_f(params, rng)
     stat = path_polynomial_stats(k_graph, Fraction(params.m, params.steps_upper),
@@ -439,10 +442,7 @@ def _csv_cell(value):
 
 # -- argument parsing ---------------------------------------------------------------
 
-def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
-    """The CLI parser; file_values (a --config file's options, keyed by dest)
-    replace the parser defaults of every subcommand, so explicit flags still
-    win."""
+def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: _read_config reads --config before this parser runs,
     # so an abbreviated --conf would parse and then be ignored
     parser = argparse.ArgumentParser(
@@ -452,24 +452,24 @@ def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with default options")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, model=True, default_format="json"):
+    def common(p, model=True, formats=("json", "csv")):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=100)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out")
-        p.add_argument("--format", choices=("json", "csv", "plain"),
-                       default=default_format)
+        # plain prints the bare count of count and paths
+        p.add_argument("--format", choices=formats, default=formats[0])
         if model:
             for name, kind in _MODEL_TYPES.items():
                 p.add_argument("--" + name.replace("_", "-"), type=kind)
 
     p = sub.add_parser("count", help="exact regular-subgraph count of a host")
-    common(p, model=False, default_format="plain")
+    common(p, model=False, formats=("plain", "json", "csv"))
     p.add_argument("--host", help="graph literal")
     p.add_argument("--d", type=int)
 
     p = sub.add_parser("paths", help="exact alternating-path count")
-    common(p, model=False, default_format="plain")
+    common(p, model=False, formats=("plain", "json", "csv"))
     p.add_argument("--f", help="graph literal")
     p.add_argument("--k", help="graph literal")
     p.add_argument("--x", type=int)
@@ -526,12 +526,9 @@ def build_parser(file_values: dict = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="repeat a subcommand over parameter values")
     common(p)
-    p.add_argument("--command")
+    p.add_argument("--command", choices=tuple(c for c in _HANDLERS if c != "sweep"))
     p.add_argument("--param", choices=tuple(_MODEL_TYPES))
     p.add_argument("--values")
-    if file_values:
-        for p in sub.choices.values():
-            p.set_defaults(**file_values)
     return parser
 
 
@@ -563,43 +560,35 @@ def _read_config(argv: list) -> tuple:
     return values, rest
 
 
-def _check_file_values(parser, args, file_values: dict):
-    """Reject a --config key that is not an option of the subcommand, and a
-    value that its flag's type or choices would reject.
+def _with_file_flags(parser, command: str, argv: list, file_values: dict) -> list:
+    """argv with a --config file's options put in as flags right after the
+    subcommand, so argparse parses them exactly as typed flags.
 
-    argparse checks choices only on command-line values, and converts a
-    default only when it is a string, while file values reach the parser as
-    defaults of any JSON type.
+    A switch set to true is the bare flag; a switch set to false, a null and
+    an option the command line sets are left out.  A non-string value is
+    written as its JSON text.
     """
-    # a subparser's defaults override the parent's values, so this key
-    # would replace the subcommand the command line named
-    if "subcommand" in file_values:
-        raise ValueError("the subcommand is named on the command line, "
-                         "not in a config file")
-    commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
-    actions = commands[args.subcommand]._actions
-    # set_defaults would pass any key on to the report's options
-    unknown = sorted(file_values.keys()
-                     - {a.dest for a in actions if a.dest != "help"})
+    actions = next(a.choices for a in parser._actions
+                   if isinstance(a.choices, dict))[command]._option_string_actions
+    by_dest = {a.dest: a for a in actions.values() if a.dest != "help"}
+    unknown = sorted(file_values.keys() - by_dest.keys())
     if unknown:
-        raise ValueError(f"config key {unknown[0]!r} is not an option of "
-                         f"{args.subcommand}")
-    for action in actions:
-        value = getattr(args, action.dest, None)
-        if action.dest not in file_values or value is None:
+        raise ValueError(f"config key {unknown[0]!r} is not an option of {command}")
+    typed = {actions[name].dest for name in (t.split("=", 1)[0] for t in argv)
+             if name in actions}
+    flags = []
+    for dest, value in sorted(file_values.items()):
+        action = by_dest[dest]
+        switch = action.nargs == 0
+        if dest in typed or value is None or (switch and value is False):
             continue
         flag = action.option_strings[0]
-        if action.type is not None:
-            try:
-                typed = action.type(value) == value
-            except (TypeError, ValueError):
-                typed = False
-            if not typed:
-                raise ValueError(f"config value {value!r} for {flag} is not "
-                                 f"of type {action.type.__name__}")
-        if action.choices is not None and value not in action.choices:
-            allowed = ", ".join(map(repr, action.choices))
-            raise ValueError(f"config value {value!r} for {flag} is not one of {allowed}")
+        if switch and value is True:
+            flags.append(flag)
+        else:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    at = argv.index(command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 def main(argv=None) -> int:
@@ -609,12 +598,17 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser(file_values)
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_file_values(parser, args, file_values)
+        if file_values:
+            args = parser.parse_args(
+                _with_file_flags(parser, args.subcommand, argv, file_values))
         config = config_from_args(args)
         report = run_experiment(config)
+    except SystemExit as exc:
+        # argparse has printed why it refused a file value
+        return exc.code
     except KeyError as exc:
         print(f"error: missing required option: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -623,7 +617,7 @@ def main(argv=None) -> int:
         return 2
     if config.format == "csv":
         payload = emit_plot_data(report)
-    elif config.format == "plain" and "count" in report["results"]:
+    elif config.format == "plain":
         payload = str(report["results"]["count"]) + "\n"
     else:
         payload = json.dumps(report, indent=2, default=str) + "\n"

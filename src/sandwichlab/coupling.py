@@ -109,12 +109,6 @@ class ModelParams:
         return 2 * self.m / self.n
 
     @property
-    def p(self) -> float:
-        """Non-edge inclusion probability m / (C(n,2) - dn/2)."""
-        self._need_m()
-        return self.m / (self.npairs - self.dn_half)
-
-    @property
     def p_upper(self) -> float:
         return min(1.0, (1 + self.eps) * self.d / self.n)
 

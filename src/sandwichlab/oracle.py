@@ -71,8 +71,10 @@ class OracleCache:
     between searches it never holds more (about 380 bytes a state at n=10,
     d=3).  The entries share their combo tuples, one per distinct
     (candidates, need).  clear() empties the profiles, their counters and
-    the table.  Extension profiles search with a memo of their own for now
-    (ROADMAP item 6).
+    the table.  Extension profiles search with a memo of their own for now:
+    sharing the table shortens lower-direction benchmark passes below the
+    roughly 27 ms of CPU that perfbench's sampler needs to time a pass, so
+    it waits on that sampler fix.
     """
 
     def __init__(self, maxsize: int = 200_000):

@@ -472,3 +472,119 @@ def test_report_counts_oracle_cache_lookups():
     cache = report["timing"]["oracle_cache"]
     assert set(cache) == {"hits", "misses", "entries"}
     assert cache["hits"] + cache["misses"] > 0
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+
+
+# a config file each subcommand runs from, with exit 0
+_VALID_CONFIGS = {
+    "count": {"host": K5, "d": 2},
+    "paths": {"f": "n=4;edges=1-2", "k": "n=4;edges=2-3", "x": 1, "y": 3, "ell": 1},
+    "switchings": {"host": C6, "d": 2, "kind": "le", "e": "1-2"},
+    "audit": {"property": "degree-band", "n": 8, "d": 3, "m": 6},
+    "kimvu": {"n": 8, "d": 3, "m": 6, "x": 1, "y": 2},
+    "schedule-mass": {"n": 6, "d": 3},
+    "fit": {"n": 5, "d": 2, "m": 2, "trials": 50},
+    "couple-upper": {"n": 4, "d": 3, "trials": 1},
+    "couple-lower": {"n": 4, "d": 3, "trials": 1},
+    "verify-marginals": {"n": 5, "d": 2},
+    "sweep": {"command": "verify-marginals", "param": "n", "values": "5", "d": 2},
+}
+
+
+def test_every_subcommand_has_a_valid_config():
+    assert set(_VALID_CONFIGS) == set(_subparsers())
+
+
+@pytest.mark.parametrize("command", list(_VALID_CONFIGS))
+def test_config_values_are_refused_like_their_flags(tmp_path, capsys, command):
+    # generated from the parser, so a flag added later is covered too
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_VALID_CONFIGS[command]))
+    assert main(["--config", str(cfg), command, "--out", str(tmp_path / "r")]) == 0
+    for action in _subparsers()[command]._actions:
+        cases = []
+        if action.type in (int, float):
+            cases += [True, [1]] + ([1.5] if action.type is int else [])
+        if action.nargs == 0 and action.dest != "help":
+            cases.append("no")
+        if action.choices:
+            cases.append("not-a-choice")
+        for value in cases:
+            cfg.write_text(json.dumps({**_VALID_CONFIGS[command], action.dest: value}))
+            assert main(["--config", str(cfg), command]) == 2, (action.dest, value)
+            err = capsys.readouterr().err
+            assert f"error: argument {action.option_strings[0]}" in err
+            assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, values", [
+    ("couple-upper", {"n": 6.0}),
+    ("couple-upper", {"trials": True}),
+    ("couple-upper", {"eps": True}),
+    ("couple-upper", {"jobs": 1.0}),
+    ("audit", {"property": "expansion-k", "log_divisor": "no"}),
+    ("paths", {"avoid": [2]}),
+    ("count", {"host": 5}),
+])
+def test_config_values_its_flag_would_refuse(tmp_path, capsys, command, values):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**_VALID_CONFIGS[command], **values}))
+    assert main(["--config", str(cfg), command]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_config_values_are_typed_as_their_flags(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    # a number for a string option is its text, as on the command line
+    cfg.write_text(json.dumps({"host": K5, "d": 2, "out": 7}))
+    assert main(["--config", str(cfg), "count"]) == 0
+    assert (tmp_path / "7").read_text() == "12\n"
+    cfg.write_text(json.dumps({"n": "4", "d": 3, "eps": 1, "trials": 1,
+                               "format": "json"}))
+    code, out = _run(["--config", str(cfg), "couple-lower"], capsys)
+    assert code == 0
+    options = json.loads(out)["config"]["options"]
+    assert (options["n"], options["eps"]) == (4, 1.0)
+    assert type(options["n"]) is int and type(options["eps"]) is float
+    for switch, expected in ((True, True), (False, False), (None, False)):
+        cfg.write_text(json.dumps({"property": "expansion-k", "n": 8, "d": 3,
+                                   "m": 6, "log_divisor": switch}))
+        report = _audit_report(capsys, "--config", str(cfg))
+        assert report["params"]["log_divisor"] is expected
+
+
+_SWEEP_N = ["--param", "n", "--values", "4", "--d", "3"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "--command", "nonsense", *_SWEEP_N], "nonsense"),
+    (["sweep", "--command", "sweep", *_SWEEP_N], "sweep"),
+    (["couple-upper", "--format", "plain", "--n", "4", "--d", "3"], "plain"),
+])
+def test_choice_flags_are_checked_by_the_parser(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"invalid choice: '{name}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prop", ["degree-band", "fk-degrees", "neighborhood-sums",
+                                  "expansion-k", "expansion-fk", "local-density",
+                                  "connection", "uv-distribution"])
+def test_audit_at_m_zero_does_not_crash(capsys, prop):
+    report = _audit_report(capsys, "--property", prop, "--n", "6", "--m", "0")
+    if prop in ("fk-degrees", "neighborhood-sums", "expansion-fk"):
+        assert report["notes"] == "vacuous: delta = 0 leaves the bound undefined"
+
+
+def test_kimvu_at_d_n_minus_one_is_a_usage_error(capsys):
+    # K_3(4) is complete: the edge probability m / (C(n,2) - dn/2) is 0/0
+    assert main(["kimvu", "--n", "4", "--d", "3", "--m", "0",
+                 "--x", "1", "--y", "2"]) == 2
+    assert "error: kimvu needs d < n-1" in capsys.readouterr().err
