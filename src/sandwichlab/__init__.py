@@ -15,7 +15,6 @@ from .graphs import (
     complement,
     complete_graph,
     cycle_graph,
-    degree,
     difference,
     edges_between,
     edges_inside,
@@ -71,7 +70,6 @@ from .coupling import (
     verify_transcript_interleaving,
 )
 from .switching import (
-    PathQuery,
     SwitchingGraph,
     alternating_paths,
     build_le_graph,
@@ -79,8 +77,6 @@ from .switching import (
     build_six_cycle_graph,
     build_ten_cycle_graph,
     count_alternating,
-    count_alternating_from,
-    count_alternating_paths,
     six_cycle_degree,
     six_cycle_statistic,
     six_cycle_switches,

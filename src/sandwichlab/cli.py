@@ -47,13 +47,14 @@ from .stats import (
     schedule_mass,
 )
 from .switching import (
-    PathQuery,
     build_le_graph,
     build_lef_graph,
     build_six_cycle_graph,
     build_ten_cycle_graph,
+    count_alternating,
     six_cycle_statistic,
     verify_double_count,
+    weighted_endpoint_sum,
 )
 from .tape import derive_seed
 
@@ -90,6 +91,22 @@ def _parse_edge(text: str) -> tuple:
 
 def _parse_vertices(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",")) if text else ()
+
+
+def _checked(parse, form: str):
+    """The argparse type of a flag that parse reads: it names the expected form
+    and keeps the text, so that a report's options replay through --config."""
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        return text
+    return check
+
+
+_EDGE = _checked(_parse_edge, "an edge u-v")
+_VERTICES = _checked(_parse_vertices, "comma-separated vertices")
 
 
 # the model options: each is a flag of its field's type and a sweepable param
@@ -143,18 +160,31 @@ def _cmd_count(config):
 
 def _cmd_paths(config):
     opts = config.options
-    query = PathQuery(
-        f=parse_graph_literal(opts["f"]),
-        k=parse_graph_literal(opts["k"]),
-        x=opts["x"],
-        y=opts.get("y"),
-        half_length=opts["ell"],
-        avoid=frozenset(_parse_vertices(opts.get("avoid", ""))),
-        mode=opts.get("mode", "between-endpoints"),
-        start_in_k=bool(opts.get("start_in_k")),
-    )
-    value = query.run()
-    row = {"x": query.x, "y": query.y, "ell": query.half_length, "count": value}
+    f, k = parse_graph_literal(opts["f"]), parse_graph_literal(opts["k"])
+    x, ell = opts["x"], opts["ell"]
+    avoid = _parse_vertices(opts.get("avoid", ""))
+    start_in_k = bool(opts.get("start_in_k"))
+    mode = opts.get("mode", "between-endpoints")
+    if mode == "between-endpoints":
+        y = opts["y"]
+    elif mode in ("from-vertex", "weighted-endpoint-sum"):
+        y = opts.get("y")
+        # an option the mode does not read must stay unset
+        unread = {"y": y is not None, "avoid": bool(avoid),
+                  "start_in_k": start_in_k and mode == "weighted-endpoint-sum"}
+        for name, is_set in unread.items():
+            if is_set:
+                raise ValueError(f"{name} is not read in mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    if mode == "weighted-endpoint-sum":
+        value = weighted_endpoint_sum(f, k, x, ell)
+    else:
+        value = count_alternating(f, k, x, 2 * ell, y=y, avoid=avoid,
+                                  start_in_k=start_in_k)
+    row = {"x": x, "y": y, "ell": ell, "count": value}
     return {"count": value, "rows": [row], "columns": list(row)}, True
 
 
@@ -263,15 +293,12 @@ def _cmd_kimvu(config):
 def _cmd_schedule_mass(config):
     params = _params_from(config.options)
     mass = schedule_mass(params)
-    # exact scaling in c0 is part of the contract; surface it in the report
-    scaling_exact = mass.e_s == params.c0 * mass.base_sum
     row = {"n": params.n, "d": params.d, "eps": params.eps, "c0": params.c0,
            "mu": params.mu, "e_s": mass.e_s, "half_r": mass.r / 2,
            "passed": mass.passed}
     results = {"e_s": mass.e_s, "r": mass.r, "passed": mass.passed,
-               "horizon": mass.horizon, "c0_scaling_exact": scaling_exact,
-               "rows": [row], "columns": list(row)}
-    return results, scaling_exact
+               "horizon": mass.horizon, "rows": [row], "columns": list(row)}
+    return results, True
 
 
 def _cmd_fit(config):
@@ -442,58 +469,58 @@ def _csv_cell(value):
 
 # -- argument parsing ---------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    # no abbreviations: _read_config reads --config before this parser runs,
-    # so an abbreviated --conf would parse and then be ignored
-    parser = argparse.ArgumentParser(
-        prog="sandwichlab", allow_abbrev=False,
-        description="Desk-scale laboratory for sandwich couplings of random "
-                    "regular graphs.")
-    parser.add_argument("--config", help="JSON file with default options")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _run_flags(formats) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--out")
+    # plain prints the bare count of count and paths
+    p.add_argument("--format", choices=formats, default=formats[0])
+    return p
 
-    def common(p, model=True, formats=("json", "csv")):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out")
-        # plain prints the bare count of count and paths
-        p.add_argument("--format", choices=formats, default=formats[0])
-        if model:
-            for name, kind in _MODEL_TYPES.items():
-                p.add_argument("--" + name.replace("_", "-"), type=kind)
 
-    p = sub.add_parser("count", help="exact regular-subgraph count of a host")
-    common(p, model=False, formats=("plain", "json", "csv"))
+def _command_options() -> dict:
+    """Each subcommand's own options but the run flags, as a parent parser:
+    the subcommand takes them, and so does a sweep that runs it."""
+    model = argparse.ArgumentParser(add_help=False)
+    for name, kind in _MODEL_TYPES.items():
+        model.add_argument("--" + name.replace("_", "-"), type=kind)
+
+    def options(help, *parents):
+        # the subcommand's help rides on its parent as the description
+        return argparse.ArgumentParser(add_help=False, description=help,
+                                       parents=parents)
+
+    own = {}
+    p = own["count"] = options("exact regular-subgraph count of a host")
     p.add_argument("--host", help="graph literal")
     p.add_argument("--d", type=int)
 
-    p = sub.add_parser("paths", help="exact alternating-path count")
-    common(p, model=False, formats=("plain", "json", "csv"))
+    p = own["paths"] = options("exact alternating-path count")
     p.add_argument("--f", help="graph literal")
     p.add_argument("--k", help="graph literal")
     p.add_argument("--x", type=int)
-    p.add_argument("--y", type=int)
+    p.add_argument("--y", type=int, help="required in between-endpoints mode")
     p.add_argument("--ell", type=int)
-    p.add_argument("--avoid", default="")
+    p.add_argument("--avoid", type=_VERTICES, default="")
     p.add_argument("--mode", default="between-endpoints",
                    choices=("between-endpoints", "from-vertex",
                             "weighted-endpoint-sum"))
     p.add_argument("--start-in-k", dest="start_in_k", action="store_true")
 
-    p = sub.add_parser("switchings", help="auxiliary switching graph statistics")
-    common(p, model=False)
+    p = own["switchings"] = options("auxiliary switching graph statistics")
     p.add_argument("--host")
     p.add_argument("--d", type=int)
     p.add_argument("--kind",
                    choices=("le", "lef", "six-two", "six-one", "ten"))
-    p.add_argument("--e")
-    p.add_argument("--f-edge", dest="f_edge")
+    p.add_argument("--e", type=_EDGE)
+    p.add_argument("--f-edge", dest="f_edge", type=_EDGE)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--wprime", default="")
+    p.add_argument("--wprime", type=_VERTICES, default="")
 
-    p = sub.add_parser("audit", help="pseudorandom property check on a sampled pair")
-    common(p)
+    p = own["audit"] = options("pseudorandom property check on a sampled pair",
+                                model)
     p.add_argument("--property", choices=_AUDIT_PROPERTIES)
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--band-constant", dest="band_constant", type=float)
@@ -503,32 +530,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-divisor", dest="log_divisor", action="store_true")
     p.add_argument("--samples", type=int)
 
-    p = sub.add_parser("kimvu", help="path polynomial expectation profile")
-    common(p)
+    p = own["kimvu"] = options("path polynomial expectation profile", model)
     p.add_argument("--x", type=int)
     p.add_argument("--y", type=int)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--avoid", default="")
+    p.add_argument("--avoid", type=_VERTICES, default="")
 
-    p = sub.add_parser("schedule-mass", help="threshold-failure mass check")
-    common(p)
-
-    p = sub.add_parser("fit", help="sampler goodness of fit against the exact law")
-    common(p)
+    own["schedule-mass"] = options("threshold-failure mass check", model)
+    p = own["fit"] = options("sampler goodness of fit against the exact law",
+                              model)
     p.add_argument("--model", choices=("f", "fminus"), default="f")
-
     for name in ("couple-upper", "couple-lower"):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} containment trials")
-        common(p)
+        own[name] = options(f"{name.replace('-', ' ')} containment trials", model)
+    own["verify-marginals"] = options("exact stage-law verification", model)
+    return own
 
-    p = sub.add_parser("verify-marginals", help="exact stage-law verification")
-    common(p)
 
-    p = sub.add_parser("sweep", help="repeat a subcommand over parameter values")
-    common(p)
-    p.add_argument("--command", choices=tuple(c for c in _HANDLERS if c != "sweep"))
-    p.add_argument("--param", choices=tuple(_MODEL_TYPES))
-    p.add_argument("--values")
+def build_parser(sweep_command: str = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  `sweep` takes the options of the command it runs,
+    sweep_command; without one its --command is required."""
+    # no abbreviations here or in sweep: --config and sweep's --command are
+    # read before this parser runs, so an abbreviation would parse unread
+    parser = argparse.ArgumentParser(
+        prog="sandwichlab", allow_abbrev=False,
+        description="Desk-scale laboratory for sandwich couplings of random "
+                    "regular graphs.")
+    parser.add_argument("--config", help="JSON file with default options")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    own = _command_options()
+    for name, options in own.items():
+        formats = ("plain", "json", "csv") if name in ("count", "paths") else ("json", "csv")
+        sub.add_parser(name, help=options.description,
+                       parents=[_run_flags(formats), options])
+
+    inner = own.get(str(sweep_command))  # a file's command may be any JSON
+    loop = argparse.ArgumentParser(add_help=False, parents=[inner] if inner else [])
+    loop.add_argument("--command", choices=tuple(own),
+                      required=sweep_command is None)
+    # a model option the swept command takes
+    takes = {a.dest for a in inner._actions} if inner else _MODEL_TYPES
+    loop.add_argument("--param",
+                      choices=tuple(n for n in _MODEL_TYPES if n in takes))
+    loop.add_argument("--values")
+    sub.add_parser("sweep", help="repeat a subcommand over parameter values",
+                   description="Repeat --command once per value of --param; "
+                               "takes that command's options.",
+                   allow_abbrev=False, parents=[_run_flags(("json", "csv")), loop])
     return parser
 
 
@@ -560,9 +607,20 @@ def _read_config(argv: list) -> tuple:
     return values, rest
 
 
-def _with_file_flags(parser, command: str, argv: list, file_values: dict) -> list:
-    """argv with a --config file's options put in as flags right after the
-    subcommand, so argparse parses them exactly as typed flags.
+def _sweep_command(argv: list, file_values: dict):
+    """The command a sweep in argv runs, typed or else from the file; the
+    sweep's parse checks it."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False,
+                                  exit_on_error=False)
+    pre.add_argument("--command")
+    return pre.parse_known_args(argv)[0].command or file_values.get("command")
+
+
+def _parse_with_file(parser, command: str, argv: list,
+                     file_values: dict) -> argparse.Namespace:
+    """Parse argv with a --config file's options put in as flags right after
+    the subcommand, so argparse checks them exactly as typed flags; then
+    refuse a file key that is no option of the subcommand.
 
     A switch set to true is the bare flag; a switch set to false, a null and
     an option the command line sets are left out.  A non-string value is
@@ -571,14 +629,11 @@ def _with_file_flags(parser, command: str, argv: list, file_values: dict) -> lis
     actions = next(a.choices for a in parser._actions
                    if isinstance(a.choices, dict))[command]._option_string_actions
     by_dest = {a.dest: a for a in actions.values() if a.dest != "help"}
-    unknown = sorted(file_values.keys() - by_dest.keys())
-    if unknown:
-        raise ValueError(f"config key {unknown[0]!r} is not an option of {command}")
     typed = {actions[name].dest for name in (t.split("=", 1)[0] for t in argv)
              if name in actions}
     flags = []
-    for dest, value in sorted(file_values.items()):
-        action = by_dest[dest]
+    for dest in sorted(file_values.keys() & by_dest.keys()):
+        action, value = by_dest[dest], file_values[dest]
         switch = action.nargs == 0
         if dest in typed or value is None or (switch and value is False):
             continue
@@ -588,22 +643,27 @@ def _with_file_flags(parser, command: str, argv: list, file_values: dict) -> lis
         else:
             flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
     at = argv.index(command) + 1
-    return argv[:at] + flags + argv[at:]
+    args = parser.parse_args(argv[:at] + flags + argv[at:])
+    # after the parse: a sweep's --command is checked before the keys that
+    # only the command it names would take
+    unknown = sorted(file_values.keys() - by_dest.keys())
+    if unknown:
+        raise ValueError(f"config key {unknown[0]!r} is not an option of {command}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         file_values, argv = _read_config(argv)
+        parser = build_parser(_sweep_command(argv, file_values))
     except (argparse.ArgumentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if file_values:
-            args = parser.parse_args(
-                _with_file_flags(parser, args.subcommand, argv, file_values))
+            args = _parse_with_file(parser, args.subcommand, argv, file_values)
         config = config_from_args(args)
         report = run_experiment(config)
     except SystemExit as exc:

@@ -58,9 +58,6 @@ class SimpleGraph:
     def vertices(self):
         return range(1, self.n + 1)
 
-    def row(self, v: int) -> int:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -252,10 +249,6 @@ def union(f: SimpleGraph, k: SimpleGraph) -> SimpleGraph:
 
 def is_regular(g: SimpleGraph, d: int) -> bool:
     return all(row.bit_count() == d for row in g.adj[1:])
-
-
-def degree(g: SimpleGraph, v: int) -> int:
-    return g.degree(v)
 
 
 def neighborhood(g: SimpleGraph, vertices) -> frozenset:

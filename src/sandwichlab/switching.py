@@ -111,24 +111,6 @@ def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
     return sum(1 for _ in alternating_paths(f, k, x, length, y, avoid, start_in_k))
 
 
-def count_alternating_paths(f: SimpleGraph, k: SimpleGraph, x: int, y: int,
-                            half_length: int, avoid=(),
-                            start_in_k: bool = False) -> int:
-    """Count (F\\K, K)-alternating x,y-paths of length 2*half_length avoiding Z."""
-    if half_length < 1:
-        raise ValueError("half_length must be positive")
-    return count_alternating(f, k, x, 2 * half_length, y=y, avoid=avoid,
-                             start_in_k=start_in_k)
-
-
-def count_alternating_from(f: SimpleGraph, k: SimpleGraph, v: int,
-                           half_length: int, start_in_k: bool = False) -> int:
-    """Count (F\\K, K)-alternating paths of length 2*half_length starting at v."""
-    if half_length < 1:
-        raise ValueError("half_length must be positive")
-    return count_alternating(f, k, v, 2 * half_length, start_in_k=start_in_k)
-
-
 def weighted_endpoint_sum(f: SimpleGraph, k: SimpleGraph, v: int, i: int) -> int:
     """Sum of d_{F\\K}(u) over (K, F\\K)-alternating v,u-paths of length 2i-1."""
     if i < 1:
@@ -136,39 +118,6 @@ def weighted_endpoint_sum(f: SimpleGraph, k: SimpleGraph, v: int, i: int) -> int
     paths = alternating_paths(f, k, v, 2 * i - 1, start_in_k=True)
     fk = difference(f, k)
     return sum(fk.degree(p[-1]) for p in paths)
-
-
-@dataclass(frozen=True)
-class PathQuery:
-    """Declarative form of a path-count request (used by the CLI)."""
-
-    f: SimpleGraph
-    k: SimpleGraph
-    x: int
-    half_length: int
-    y: int = None
-    avoid: frozenset = frozenset()
-    mode: str = "between-endpoints"
-    start_in_k: bool = False
-
-    def run(self) -> int:
-        """Count in `mode`; an option the mode does not read must stay unset."""
-        if self.mode == "between-endpoints":
-            return count_alternating_paths(self.f, self.k, self.x, self.y,
-                                           self.half_length, self.avoid,
-                                           self.start_in_k)
-        if self.mode not in ("from-vertex", "weighted-endpoint-sum"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        unread = {"y": self.y is not None, "avoid": bool(self.avoid),
-                  "start_in_k": (self.start_in_k
-                                 and self.mode == "weighted-endpoint-sum")}
-        for name, is_set in unread.items():
-            if is_set:
-                raise ValueError(f"{name} is not read in mode {self.mode!r}")
-        if self.mode == "from-vertex":
-            return count_alternating_from(self.f, self.k, self.x,
-                                          self.half_length, self.start_in_k)
-        return weighted_endpoint_sum(self.f, self.k, self.x, self.half_length)
 
 
 # -- cycle switchings -----------------------------------------------------------

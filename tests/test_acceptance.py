@@ -61,7 +61,7 @@ from sandwichlab.switching import (
     build_lef_graph,
     build_six_cycle_graph,
     build_ten_cycle_graph,
-    count_alternating_paths,
+    count_alternating,
     six_cycle_statistic,
     six_cycle_switches,
     switch_neighbors_le,
@@ -148,7 +148,7 @@ def test_criterion_05_path_counter_equivalence():
             ell = rng.randint(1, 4)
             avoid = {v for v in range(1, n + 1)
                      if v not in (x, y) and rng.random() < 0.15}
-            assert count_alternating_paths(f, k, x, y, ell, avoid) == \
+            assert count_alternating(f, k, x, 2 * ell, y=y, avoid=avoid) == \
                 mitm_alternating_count(f, k, x, y, 2 * ell, avoid)
 
 
@@ -405,8 +405,8 @@ def test_criterion_11_path_polynomial_cross_check():
             avoid = tuple(v for v in range(1, n + 1)
                           if v not in (x, y) and rng.random() < 0.1)
             stat = path_polynomial_stats(k, 1, x, y, order, z=avoid)
-            direct = count_alternating_paths(complete_graph(n), k, x, y,
-                                             order, avoid=avoid)
+            direct = count_alternating(complete_graph(n), k, x, 2 * order,
+                                       y=y, avoid=avoid)
             assert stat.e_y == direct
 
 

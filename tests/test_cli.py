@@ -1,10 +1,14 @@
 import copy
 import dataclasses
 import json
+import random
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
+from sandwichlab import cli
 from sandwichlab.cli import (
     ExperimentConfig,
     build_parser,
@@ -13,7 +17,8 @@ from sandwichlab.cli import (
     run_experiment,
 )
 from sandwichlab.coupling import ModelParams
-from sandwichlab.graphs import complete_graph, format_graph_literal
+from sandwichlab.graphs import complete_graph, format_graph_literal, gnp_graph
+from sandwichlab.switching import count_alternating, weighted_endpoint_sum
 
 K5 = format_graph_literal(complete_graph(5))
 
@@ -228,7 +233,10 @@ def test_schedule_mass_subcommand(capsys):
     code, out = _run(["schedule-mass", "--n", "12", "--d", "4"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["results"]["c0_scaling_exact"] is True
+    # E_S = c0 * base sum is how schedule_mass computes it, so it is no check
+    assert report["hard_pass"] is True
+    assert {"e_s", "r", "passed", "horizon"} <= set(report["results"])
+    assert "c0_scaling_exact" not in report["results"]
 
 
 def test_sweep_emits_rows(capsys):
@@ -588,3 +596,152 @@ def test_kimvu_at_d_n_minus_one_is_a_usage_error(capsys):
     assert main(["kimvu", "--n", "4", "--d", "3", "--m", "0",
                  "--x", "1", "--y", "2"]) == 2
     assert "error: kimvu needs d < n-1" in capsys.readouterr().err
+
+
+def test_paths_modes_match_the_library(capsys):
+    rng = random.Random(25)
+    f = gnp_graph(7, 0.6, rng)
+    k = gnp_graph(7, 0.4, rng)
+    base = ["paths", "--f", format_graph_literal(f), "--k", format_graph_literal(k),
+            "--x", "1", "--ell", "2"]
+    for extra, expected in (
+            (["--y", "2"], count_alternating(f, k, 1, 4, y=2)),
+            (["--y", "2", "--avoid", "3", "--start-in-k"],
+             count_alternating(f, k, 1, 4, y=2, avoid=(3,), start_in_k=True)),
+            (["--mode", "from-vertex"], count_alternating(f, k, 1, 4)),
+            (["--mode", "from-vertex", "--start-in-k"],
+             count_alternating(f, k, 1, 4, start_in_k=True)),
+            (["--mode", "weighted-endpoint-sum"], weighted_endpoint_sum(f, k, 1, 2))):
+        code, out = _run([*base, *extra], capsys)
+        assert (code, int(out)) == (0, expected), extra
+
+
+_PATHS = ["paths", "--f", "n=4;edges=1-2", "--k", "n=4;edges=2-3", "--x", "1"]
+
+
+def test_paths_between_endpoints_needs_y(capsys):
+    # without --y it would count the from-vertex paths instead
+    assert main([*_PATHS, "--ell", "1"]) == 2
+    assert "error: missing required option: y" in capsys.readouterr().err
+    code, out = _run([*_PATHS, "--ell", "1", "--mode", "from-vertex"], capsys)
+    assert (code, out.strip()) == (0, "1")
+
+
+@pytest.mark.parametrize("extra", [["--y", "3"], ["--mode", "from-vertex"],
+                                   ["--mode", "weighted-endpoint-sum"]])
+@pytest.mark.parametrize("ell", ["0", "-1"])
+def test_paths_ell_below_one_names_ell(capsys, extra, ell):
+    assert main([*_PATHS, "--ell", ell, *extra]) == 2
+    assert "error: ell must be positive" in capsys.readouterr().err
+
+
+def _argv(command, options):
+    return [command, *(f"--{k.replace('_', '-')}={v}" for k, v in options.items())]
+
+
+@pytest.mark.parametrize("command, options, dest, bad, form", [
+    ("switchings", {"host": C6, "d": 2, "kind": "le"}, "e", "12", "an edge u-v"),
+    ("switchings", {"host": C6, "d": 2, "kind": "lef", "e": "1-2"}, "f_edge",
+     "1-x", "an edge u-v"),
+    ("switchings", {"host": C6, "d": 2, "kind": "six-two"}, "wprime", "1;2",
+     "comma-separated vertices"),
+    ("kimvu", {"n": 8, "d": 3, "m": 6, "x": 1, "y": 2}, "avoid", "3,x",
+     "comma-separated vertices"),
+    ("paths", {"f": "n=4;edges=1-2", "k": "n=4;edges=2-3", "x": 1, "y": 3,
+               "ell": 1}, "avoid", "x", "comma-separated vertices"),
+])
+def test_malformed_edge_or_vertex_list_names_its_flag(tmp_path, capsys, command,
+                                                      options, dest, bad, form):
+    message = f"error: argument --{dest.replace('_', '-')}: expected {form}, got '{bad}'"
+    with pytest.raises(SystemExit) as exc:
+        main(_argv(command, {**options, dest: bad}))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**options, dest: bad}))
+    assert main(["--config", str(cfg), command]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _replayed(tmp_path, capsys, report):
+    """The report that re-running report's embedded configuration gives."""
+    config = report["config"]
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps({**config["options"], "seed": config["seed"],
+                               "trials": config["trials"], "jobs": config["jobs"],
+                               "format": "json"}))
+    code, out = _run(["--config", str(cfg), config["command"]], capsys)
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kimvu", "--n", "8", "--d", "3", "--m", "6", "--x", "1", "--y", "2",
+     "--avoid", "3,4", "--seed", "4"],
+    ["paths", "--f", "n=4;edges=1-2,3-4", "--k", "n=4;edges=2-3", "--x", "1",
+     "--ell", "1", "--mode", "from-vertex"],
+    ["switchings", "--host", C6, "--d", "2", "--kind", "six-two",
+     "--wprime", "1,2"],
+])
+def test_edge_and_vertex_options_replay_through_config(tmp_path, capsys, argv):
+    code, out = _run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    replayed = _replayed(tmp_path, capsys, report)
+    assert replayed["config"] == report["config"]
+    assert replayed["results"] == report["results"]
+
+
+@pytest.mark.parametrize("inner, param, values, argv, column, expected", [
+    ("kimvu", "m", [4, 6], ["--n", "8", "--d", "3", "--x", "1", "--y", "2"],
+     "m", [4, 6]),
+    ("audit", "m", [4, 6], ["--property", "degree-band", "--n", "8", "--d", "3"],
+     "m", [4, 6]),
+    ("count", "d", [2, 4], ["--host", K5], "count", ["12", "1"]),
+])
+def test_sweep_runs_commands_with_their_own_options(tmp_path, capsys, inner, param,
+                                                    values, argv, column, expected):
+    code, out = _run(["sweep", "--command", inner, "--param", param, "--values",
+                      ",".join(map(str, values)), *argv, "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    rows = report["results"]["rows"]
+    assert [row[param] for row in rows] == values
+    assert [row[column] for row in rows] == expected
+    replayed = _replayed(tmp_path, capsys, report)
+    assert replayed["results"] == report["results"]
+
+
+def test_sweep_param_must_be_an_option_of_its_command(capsys):
+    # count takes no --n, so sweeping n would run one count once per value
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--command", "count", "--param", "n", "--values", "4,5",
+              "--host", K5, "--d", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'n' (choose from 'd')" in capsys.readouterr().err
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("sandwichlab ")]
+
+
+def test_readme_has_command_lines():
+    assert len(_readme_command_lines()) >= 10
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda a: a[0])
+def test_readme_command_line_parses(monkeypatch, capsys, argv):
+    # main parses the line and builds its configuration; nothing runs
+    seen = []
+
+    def stub(config):
+        seen.append(config)
+        return {"results": {"count": 0, "rows": [], "columns": []},
+                "hard_pass": True}
+
+    monkeypatch.setattr(cli, "run_experiment", stub)
+    assert main(argv) == 0
+    assert [config.command for config in seen] == [argv[0]]

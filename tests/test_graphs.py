@@ -12,7 +12,6 @@ from sandwichlab.graphs import (
     complement,
     complete_graph,
     cycle_graph,
-    degree,
     difference,
     edges_between,
     edges_inside,
@@ -125,7 +124,7 @@ def test_regularity_and_neighborhood():
     assert is_regular(cycle_graph(5), 2)
     assert not is_regular(complete_graph(4).without_edge(1, 2), 3)
     assert neighborhood(cycle_graph(5), {1}) == frozenset({2, 5})
-    assert degree(complete_graph(6), 3) == 5
+    assert complete_graph(6).degree(3) == 5
 
 
 def test_canonical_key_identity():

@@ -23,7 +23,7 @@ from sandwichlab.stats import (
     schedule_mass,
     translation_check,
 )
-from sandwichlab.switching import count_alternating_paths
+from sandwichlab.switching import count_alternating
 
 from _reference import brute_force_path_polynomial
 
@@ -79,8 +79,7 @@ def test_path_polynomial_p_zero_and_one():
     zero = path_polynomial_stats(k, 0, 1, 2, 2)
     assert zero.e_y == 0
     one = path_polynomial_stats(k, 1, 1, 2, 2, z=(4, 5))
-    direct = count_alternating_paths(complete_graph(10), k, 1, 2, 2,
-                                     avoid=(4, 5))
+    direct = count_alternating(complete_graph(10), k, 1, 4, y=2, avoid=(4, 5))
     assert one.e_y == direct
 
 
@@ -102,7 +101,7 @@ def test_path_polynomial_cross_check_many_instances():
         x, y = rng.sample(range(1, n + 1), 2)
         order = rng.randint(1, 3)
         stat = path_polynomial_stats(k, 1, x, y, order)
-        direct = count_alternating_paths(complete_graph(n), k, x, y, order)
+        direct = count_alternating(complete_graph(n), k, x, 2 * order, y=y)
         assert stat.e_y == direct
 
 

@@ -17,14 +17,11 @@ from sandwichlab.graphs import (
 )
 from sandwichlab.oracle import enumerate_extensions, enumerate_regular
 from sandwichlab.switching import (
-    PathQuery,
     build_le_graph,
     build_lef_graph,
     build_six_cycle_graph,
     build_ten_cycle_graph,
     count_alternating,
-    count_alternating_from,
-    count_alternating_paths,
     six_cycle_degree,
     six_cycle_statistic,
     six_cycle_switches,
@@ -48,25 +45,25 @@ from _reference import (
 def test_forced_single_path():
     f = SimpleGraph(4, [(1, 2)])
     k = SimpleGraph(4, [(2, 3)])
-    assert count_alternating_paths(f, k, 1, 3, 1) == 1
+    assert count_alternating(f, k, 1, 2, y=3) == 1
 
 
 def test_avoid_set_blocks_last_internal_vertex():
     f = SimpleGraph(4, [(1, 2)])
     k = SimpleGraph(4, [(2, 3)])
-    assert count_alternating_paths(f, k, 1, 3, 1, avoid={2}) == 0
+    assert count_alternating(f, k, 1, 2, y=3, avoid={2}) == 0
 
 
 def test_empty_difference_gives_zero():
     k = cycle_graph(6)
-    assert count_alternating_from(k, k, 1, 2) == 0
+    assert count_alternating(k, k, 1, 4) == 0
 
 
 def test_avoid_must_exclude_endpoints():
     f = gnp_graph(6, 0.5, random.Random(0))
     k = gnp_graph(6, 0.5, random.Random(1))
     with pytest.raises(ValueError):
-        count_alternating_paths(f, k, 1, 2, 1, avoid={1})
+        count_alternating(f, k, 1, 2, y=2, avoid={1})
 
 
 def test_partition_identity_endpoints():
@@ -76,8 +73,8 @@ def test_partition_identity_endpoints():
         k = gnp_graph(8, 0.4, rng)
         x = rng.randint(1, 8)
         for ell in (1, 2):
-            total = count_alternating_from(f, k, x, ell)
-            split = sum(count_alternating_paths(f, k, x, y, ell)
+            total = count_alternating(f, k, x, 2 * ell)
+            split = sum(count_alternating(f, k, x, 2 * ell, y=y)
                         for y in range(1, 9) if y != x)
             assert total == split
 
@@ -120,7 +117,7 @@ def test_dual_enumerator_agreement_sample():
         ell = rng.randint(1, 3)
         avoid = {v for v in range(1, n + 1) if v not in (x, y)
                  and rng.random() < 0.15}
-        mine = count_alternating_paths(f, k, x, y, ell, avoid)
+        mine = count_alternating(f, k, x, 2 * ell, y=y, avoid=avoid)
         ref = mitm_alternating_count(f, k, x, y, 2 * ell, avoid)
         assert mine == ref
 
@@ -143,18 +140,6 @@ def test_short_paths_to_a_fixed_endpoint_match_the_join():
                                                       avoid, start_in_k)
                 nonzero += mine > 0
     assert nonzero
-
-
-def test_path_query_modes():
-    rng = random.Random(25)
-    f = gnp_graph(7, 0.6, rng)
-    k = gnp_graph(7, 0.4, rng)
-    q = PathQuery(f, k, x=1, y=2, half_length=2)
-    assert q.run() == count_alternating_paths(f, k, 1, 2, 2)
-    q = PathQuery(f, k, x=1, half_length=2, mode="from-vertex")
-    assert q.run() == count_alternating_from(f, k, 1, 2)
-    q = PathQuery(f, k, x=1, half_length=2, mode="weighted-endpoint-sum")
-    assert q.run() == weighted_endpoint_sum(f, k, 1, 2)
 
 
 def _rich_host(rng, n, d, extras):
