@@ -46,7 +46,6 @@ from .coupling import (
     ClassLaw,
     CoupledLowerRun,
     CoupledUpperRun,
-    DistributionTable,
     ModelParams,
     ProcessTranscript,
     class_stage_laws,
@@ -56,7 +55,6 @@ from .coupling import (
     exact_kernel_step,
     exact_marginal,
     exact_stage_laws,
-    point_mass,
     run_coupled_lower,
     run_coupled_upper,
     run_gstar,

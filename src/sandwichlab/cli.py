@@ -305,13 +305,15 @@ def _cmd_fit(config):
     opts = config.options
     params = _params_from(opts)
     model = opts.get("model", "f")
+    if model not in ("f", "fminus"):
+        raise ValueError(f"unknown model {model!r}")
+    upper = model == "f"
     rng = random.Random(derive_seed(config.seed, "fit"))
-    sampler = sample_f if model == "f" else sample_fminus
-    stage = (params.steps_upper - params.m if model == "f" else
-             params.steps_lower - params.m)
+    sampler = sample_f if upper else sample_fminus
+    stage = (params.steps_upper if upper else params.steps_lower) - params.m
     # cells are isomorphism classes: at desk sizes most labeled graphs
     # would fall below the pooling threshold
-    laws = closed_form_class_laws(params, "delete" if model == "f" else "add")
+    laws = closed_form_class_laws(params, "delete" if upper else "add")
     if not 0 <= stage < len(laws):
         raise ValueError("stage out of range")
     samples = [canonical_labeling(sampler(params, rng)[1])[0]
@@ -387,7 +389,18 @@ def _cmd_sweep(config):
     opts = config.options
     inner_command = opts["command"]
     param = opts["param"]
-    values = [_MODEL_TYPES[param](v) for v in opts["values"].split(",")]
+    inner = _command_options().get(inner_command)
+    action = _numeric_options(inner).get(param) if inner else None
+    if action is None:
+        raise ValueError(f"{param!r} is no numeric option of command "
+                         f"{inner_command!r}")
+    values = []
+    for text in opts["values"].split(","):
+        try:
+            values.append(action.type(text))
+        except ValueError:
+            raise ValueError(f"argument --values: invalid {action.type.__name__} "
+                             f"value for {action.option_strings[0]}: {text!r}") from None
     rows = []
     sub_reports = []
     hard = True
@@ -546,6 +559,12 @@ def _command_options() -> dict:
     return own
 
 
+def _numeric_options(options: argparse.ArgumentParser) -> dict:
+    """dest -> action of a command's int- and float-typed options: the
+    params a sweep of that command takes."""
+    return {a.dest: a for a in options._actions if a.type in (int, float)}
+
+
 def build_parser(sweep_command: str = None) -> argparse.ArgumentParser:
     """The CLI's parser.  `sweep` takes the options of the command it runs,
     sweep_command; without one its --command is required."""
@@ -567,10 +586,9 @@ def build_parser(sweep_command: str = None) -> argparse.ArgumentParser:
     loop = argparse.ArgumentParser(add_help=False, parents=[inner] if inner else [])
     loop.add_argument("--command", choices=tuple(own),
                       required=sweep_command is None)
-    # a model option the swept command takes
-    takes = {a.dest for a in inner._actions} if inner else _MODEL_TYPES
+    # without a valid --command the parse fails on that
     loop.add_argument("--param",
-                      choices=tuple(n for n in _MODEL_TYPES if n in takes))
+                      choices=tuple(_numeric_options(inner)) if inner else None)
     loop.add_argument("--values")
     sub.add_parser("sweep", help="repeat a subcommand over parameter values",
                    description="Repeat --command once per value of --param; "

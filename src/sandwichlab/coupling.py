@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 
 from .graphs import (
     SimpleGraph,
@@ -87,16 +87,12 @@ class ModelParams:
         return self.n * (self.n - 1) // 2
 
     @property
-    def dn_half(self) -> int:
-        return self.d * self.n // 2
-
-    @property
     def steps_upper(self) -> int:
-        return self.npairs - self.dn_half
+        return self.npairs - self.steps_lower
 
     @property
     def steps_lower(self) -> int:
-        return self.dn_half
+        return self.d * self.n // 2
 
     @property
     def R(self) -> int:
@@ -118,8 +114,9 @@ class ModelParams:
 
     @property
     def n_budget(self) -> int:
-        """Stage horizon N = C(n,2) - dn/2 - 2R for the reference sequences."""
-        return self.steps_upper - 2 * self.R
+        """Stage horizon N = C(n,2) - dn/2 - 2R for the reference sequences,
+        0 when that is negative."""
+        return max(0, self.steps_upper - 2 * self.R)
 
     @property
     def n_lower(self) -> int:
@@ -199,6 +196,10 @@ def _leq_ratio(x: float, num: int, den: int) -> bool:
     return a * den <= num * b
 
 
+def _moved(g: SimpleGraph, e, delete: bool) -> SimpleGraph:
+    return g.without_edge(*e) if delete else g.with_edge(*e)
+
+
 def _transition_weights(g: SimpleGraph, d: int, direction: str) -> dict:
     """Move weights at g: e -> |K_d(g-e)| over the edges of g (delete), or
     e -> |{K : g+e in K}| over the non-edges that some K contains (add).
@@ -251,7 +252,7 @@ def _run_edge_process(params: ModelParams, tape: RandomnessTape, direction: str)
             w = weights.get(e, 0)
             if w > 0 and _leq_ratio(tape.x(t), w, mx):
                 break
-        f = f.without_edge(*e) if delete else f.with_edge(*e)
+        f = _moved(f, e, delete)
         steps.append(TranscriptStep(
             stage=i, tape_index=t, edge=e, threshold=w / mx,
             min_count=mn, max_count=mx, argmax_edges=ties,
@@ -333,40 +334,24 @@ def run_gstar(params: ModelParams, tape: RandomnessTape):
 class ReferenceRun:
     """First-appearance deletion sequence and its threshold-gated shadow.
 
-    Holds what the tape gave: the first C(n,2) distinct tape pairs, their
-    tape indices, and whether each passed its stage threshold.  Everything
+    Holds what the tape gave: the tape indices of the first C(n,2) distinct
+    tape pairs, and whether each passed its stage threshold.  Everything
     else is read off those and the parameters.
     """
 
     params: ModelParams
     k_indices: list
-    edges: list
     deleted: list
 
     @property
-    def R(self) -> int:
-        return self.params.R
-
-    @property
-    def horizon(self) -> int:
-        return self.params.n_budget
-
-    @property
-    def e_h_horizon(self) -> int:
-        """e(H_N): H removes every edge on its first tape appearance."""
-        return self.params.npairs - self.horizon
-
-    @property
-    def e_gplus_horizon(self) -> int:
-        return self.params.npairs - sum(1 for ok in self.deleted[: self.horizon] if ok)
-
-    @property
     def failures(self) -> int:
-        return sum(1 for ok in self.deleted[: self.horizon] if not ok)
+        """e(G+_N) - e(H_N): the threshold failures among the first N pairs."""
+        return self.deleted[: self.params.n_budget].count(False)
 
     @property
     def budget_ok(self) -> bool:
-        return self.e_gplus_horizon <= self.e_h_horizon + self.R
+        """e(G+_N) <= e(H_N) + R."""
+        return self.failures <= self.params.R
 
 
 def run_reference_sequences(params: ModelParams, tape: RandomnessTape) -> ReferenceRun:
@@ -379,13 +364,11 @@ def run_reference_sequences(params: ModelParams, tape: RandomnessTape) -> Refere
     """
     thresholds = _companion_thresholds(params)
     k_indices = []
-    edges = []
     deleted = []
-    for i, (t, e) in enumerate(_first_appearances(tape, params.npairs), 1):
+    for i, (t, _) in enumerate(_first_appearances(tape, params.npairs), 1):
         k_indices.append(t)
-        edges.append(e)
         deleted.append(tape.x(t) <= thresholds[i])
-    return ReferenceRun(params, k_indices, edges, deleted)
+    return ReferenceRun(params, k_indices, deleted)
 
 
 @dataclass
@@ -559,11 +542,11 @@ class ClassLaw:
 
     graphs holds one representative per class, sizes its number of labeled
     members, and probs the probability of each labeled member.  Keyed by
-    canonical_key with every size 1, it is a law over labeled graphs
-    (DistributionTable); keyed by certificate (graphs.canonical_labeling)
-    with each class's canonical form, a law over isomorphism classes.  The
-    key fixes the representative, so two laws are equal exactly when they
-    have the same classes, sizes and per-member probabilities.
+    canonical_key with every size 1, it is a law over labeled graphs; keyed
+    by certificate (graphs.canonical_labeling) with each class's canonical
+    form, a law over isomorphism classes.  The key fixes the representative,
+    so two laws are equal exactly when they have the same classes, sizes and
+    per-member probabilities.
     """
 
     n: int
@@ -588,12 +571,6 @@ class ClassLaw:
         return self
 
 
-def DistributionTable(n: int, graphs: dict, probs: dict) -> ClassLaw:
-    """Exact law over labeled graphs: a ClassLaw keyed by canonical_key whose
-    classes are single graphs."""
-    return ClassLaw(n, graphs, probs, dict.fromkeys(graphs, 1))
-
-
 def _labeled_form(g: SimpleGraph):
     """(key, representative) of g's class when every graph is its own class."""
     return canonical_key(g), g
@@ -603,15 +580,6 @@ def _canonical_form(g: SimpleGraph):
     """(certificate, canonical form) of g's isomorphism class."""
     cert, _ = canonical_labeling(g)
     return cert, SimpleGraph._from_rows(g.n, cert)
-
-
-def point_mass(g: SimpleGraph) -> ClassLaw:
-    key = canonical_key(g)
-    return DistributionTable(g.n, {key: g}, {key: Fraction(1)})
-
-
-def _moved(g: SimpleGraph, e, delete: bool) -> SimpleGraph:
-    return g.without_edge(*e) if delete else g.with_edge(*e)
 
 
 def _kernel_step(law: ClassLaw, d: int, direction: str, form) -> ClassLaw:
@@ -696,14 +664,8 @@ def _stage_laws(params: ModelParams, direction: str, step, form):
     # every relabeling fixes the start graph, so its class is itself
     key, g = form(start)
     law = ClassLaw(params.n, {key: g}, {key: Fraction(1)}, {key: 1})
-    return _iterate_kernel(step, law, params.d, direction, last)
-
-
-def _iterate_kernel(step, law, d, direction, steps):
-    yield law
-    for _ in range(steps):
-        law = step(law, d, direction)
-        yield law
+    return accumulate(range(last), lambda law, _: step(law, params.d, direction),
+                      initial=law)
 
 
 def exact_stage_laws(params: ModelParams, direction: str):
@@ -762,7 +724,7 @@ def closed_form_law(params: ModelParams, i: int, direction: str) -> ClassLaw:
             key = canonical_key(g)
             graphs[key] = g
             probs[key] = Fraction(w, denominator)
-    return DistributionTable(n, graphs, probs).check()
+    return ClassLaw(n, graphs, probs, dict.fromkeys(graphs, 1)).check()
 
 
 # -- closed-form laws over isomorphism classes ------------------------------------

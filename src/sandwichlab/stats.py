@@ -39,11 +39,6 @@ class PolynomialStat:
     skeleton_count: int
     deviation_bound: float
 
-    def check(self):
-        if self.e_max != max(self.e_y, self.e_prime):
-            raise ValueError("inconsistent maxima")
-        return self
-
 
 def path_polynomial_stats(k_graph: SimpleGraph, p, x: int, y: int, k: int,
                           z=()) -> PolynomialStat:
@@ -85,7 +80,7 @@ def path_polynomial_stats(k_graph: SimpleGraph, p, x: int, y: int, k: int,
     deviation = (8 ** k) * math.sqrt(math.factorial(k)) \
         * math.sqrt(float(e_max) * float(e_prime)) * alpha ** k
     return PolynomialStat(e_y, e_prime, e_max, by_order, len(skeletons),
-                          deviation).check()
+                          deviation)
 
 
 # -- concentration bound evaluators --------------------------------------------------
@@ -129,7 +124,7 @@ def schedule_mass(params: ModelParams) -> ScheduleMass:
     E S is computed as c0 times a c0-free base sum, so scaling in c0 is exact.
     """
     unit = replace(params, c0=1.0)
-    horizon = max(0, params.n_budget)
+    horizon = params.n_budget
     base = 0.0
     # a plain left-to-right loop: sum() rounds floats differently from 3.12 on
     for i in range(1, horizon + 1):
@@ -163,12 +158,16 @@ class FitResult:
                 "p_value": self.p_value, "cells": len(self.cells)}
 
 
-def chi_square_uniformity(samples, law, min_expected: float = 5.0) -> FitResult:
+# a cell expecting fewer samples than this is pooled
+MIN_EXPECTED = 5.0
+
+
+def chi_square_uniformity(samples, law) -> FitResult:
     """Pearson chi-square of observed sample keys against an exact law.
 
     law maps keys to probabilities, or is a ClassLaw, whose cells then carry
     the probability of the whole class (of one graph, for a labeled law).
-    Cells with expected count below min_expected are pooled, smallest first.
+    Cells with expected count below MIN_EXPECTED are pooled, smallest first.
     A key outside the law raises ModelViolationError, an empty sample ValueError.
     """
     if isinstance(law, ClassLaw):
@@ -190,7 +189,7 @@ def chi_square_uniformity(samples, law, min_expected: float = 5.0) -> FitResult:
     pooled_obs = 0
     kept = []
     for exp, obs, key in cells:
-        if exp < min_expected or (pooled_exp and pooled_exp < min_expected):
+        if exp < MIN_EXPECTED or (pooled_exp and pooled_exp < MIN_EXPECTED):
             pooled_exp += exp
             pooled_obs += obs
         else:
@@ -246,14 +245,17 @@ class TranslationReport:
     pairs_checked: int
 
 
-def translation_check(params: ModelParams, predicate,
-                      thresholds=(0.0, 0.25, 0.5, 0.75)) -> TranslationReport:
+# the failing-subgraph proportions whose tail translation_check reports
+TAIL_THRESHOLDS = (0.0, 0.25, 0.5, 0.75)
+
+
+def translation_check(params: ModelParams, predicate) -> TranslationReport:
     """Exact identity transferring planted-pair properties to most subgraphs.
 
     The probability that the planted pair (F, K) fails the predicate equals
     the double enumeration over supergraphs F and their regular spanning
     subgraphs, both normalized by |K_d(n)| * C(C(n,2)-dn/2, m).  The report
-    also carries, for each threshold t, the exact probability that a random F
+    also carries, for each t in TAIL_THRESHOLDS, the exact probability that a random F
     has a failing-subgraph proportion exceeding t.
     """
     params._need_m()
@@ -276,8 +278,8 @@ def translation_check(params: ModelParams, predicate,
     lhs = Fraction(lhs_bad, denominator)
     # right side: enumerate supergraphs and their regular spanning subgraphs
     rhs_bad = 0
-    tail = {t: Fraction(0) for t in thresholds}
-    target_edges = params.dn_half + m
+    tail = {t: Fraction(0) for t in TAIL_THRESHOLDS}
+    target_edges = params.steps_lower + m
     for edges in combinations(pair_list(n), target_edges):
         f = SimpleGraph(n, edges)
         members = list(enumerate_regular(f, d))
@@ -287,7 +289,7 @@ def translation_check(params: ModelParams, predicate,
         rhs_bad += bad
         f_prob = Fraction(len(members), denominator)
         frac = Fraction(bad, len(members))
-        for t in thresholds:
+        for t in TAIL_THRESHOLDS:
             if frac > t:
                 tail[t] += f_prob
     rhs = Fraction(rhs_bad, denominator)

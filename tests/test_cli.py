@@ -229,6 +229,20 @@ def test_fit_cells_are_isomorphism_classes(capsys):
     assert fit["dof"] > 0 and fit["p_value"] > 1e-4
 
 
+@pytest.mark.parametrize("command, options, message", [
+    ("fit", {"n": 5, "d": 2, "m": 2, "model": "bogus"}, "unknown model 'bogus'"),
+    ("sweep", {"command": "count", "param": "host", "values": "1"},
+     "'host' is no numeric option of command 'count'"),
+    ("sweep", {"command": "bogus", "param": "n", "values": "4"},
+     "'n' is no numeric option of command 'bogus'"),
+])
+def test_library_refuses_what_the_parser_would(command, options, message):
+    # the parser's choices guard the CLI; a library caller gets a ValueError,
+    # which main would print as such, not as a missing option
+    with pytest.raises(ValueError, match=message):
+        run_experiment(ExperimentConfig(command, options, trials=50))
+
+
 def test_schedule_mass_subcommand(capsys):
     code, out = _run(["schedule-mass", "--n", "12", "--d", "4"], capsys)
     assert code == 0
@@ -719,6 +733,37 @@ def test_sweep_param_must_be_an_option_of_its_command(capsys):
               "--host", K5, "--d", "2"])
     assert exc.value.code == 2
     assert "invalid choice: 'n' (choose from 'd')" in capsys.readouterr().err
+
+
+def test_sweep_over_a_paths_option(tmp_path, capsys):
+    rng = random.Random(26)  # path counts 2, 4, 1
+    f, k = gnp_graph(7, 0.6, rng), gnp_graph(7, 0.4, rng)
+    code, out = _run(["sweep", "--command", "paths", "--param", "ell",
+                      "--values", "1,2,3", "--f", format_graph_literal(f),
+                      "--k", format_graph_literal(k), "--x", "1", "--y", "2",
+                      "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    rows = report["results"]["rows"]
+    assert [row["ell"] for row in rows] == [1, 2, 3]
+    assert [row["count"] for row in rows] == [count_alternating(f, k, 1, 2 * ell, y=2)
+                                              for ell in (1, 2, 3)]
+    replayed = _replayed(tmp_path, capsys, report)
+    assert replayed["results"] == report["results"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--command", "couple-upper", "--param", "n", "--values", "4,x", "--d", "3",
+      "--trials", "1"], "invalid int value for --n: 'x'"),
+    (["--command", "audit", "--param", "lam", "--values", "0.5,half",
+      "--property", "degree-band", "--n", "8", "--d", "3", "--m", "4"],
+     "invalid float value for --lam: 'half'"),
+])
+def test_sweep_value_of_the_wrong_type_names_values(capsys, argv, message):
+    assert main(["sweep", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --values: {message}" in err
+    assert "Traceback" not in err
 
 
 def _readme_command_lines():

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandwichlab import coupling
 from sandwichlab.cli import main
@@ -18,7 +20,6 @@ from sandwichlab.coupling import (
     exact_kernel_step,
     exact_marginal,
     exact_stage_laws,
-    point_mass,
     run_coupled_lower,
     run_coupled_upper,
     run_gstar,
@@ -213,18 +214,47 @@ def test_schedule_pin():
 def test_reference_sequences_basics():
     params = ModelParams(n=6, d=3)
     ref = run_reference_sequences(params, RandomnessTape(6, 9))
-    # H loses exactly one edge per distinct tape edge
-    assert ref.e_h_horizon == params.npairs - ref.horizon
-    assert ref.e_gplus_horizon - ref.e_h_horizon == ref.failures
+    # H loses exactly one edge per distinct tape edge, G+ only those that
+    # pass their threshold, so e(G+_N) - e(H_N) counts the failures
+    horizon = params.n_budget
+    e_h = params.npairs - horizon
+    e_gplus = params.npairs - sum(ref.deleted[:horizon])
+    assert e_gplus - e_h == ref.failures
     # zero-slack variant: thresholds never fail, shadow equals H
     flat = ModelParams(n=6, d=3, c0=0.0)
     ref0 = run_reference_sequences(flat, RandomnessTape(6, 9))
     assert ref0.failures == 0
-    assert ref0.e_gplus_horizon == ref0.e_h_horizon
+
+
+def test_reference_horizon_is_clamped_at_zero():
+    # N = C(6,2) - 12 - 2R = -1: no stage lies inside the horizon, so no
+    # threshold can fail there (a negative slice once counted one)
+    params = ModelParams(n=6, d=4)
+    assert params.n_budget == 0
+    ref = run_reference_sequences(params, RandomnessTape(6, 3))
+    assert ref.failures == 0 and ref.budget_ok
+
+
+@st.composite
+def _model_params(draw):
+    n = draw(st.integers(1, 14))
+    d = draw(st.sampled_from([d for d in range(n) if d * n % 2 == 0]))
+    return ModelParams(n=n, d=d, eps=draw(st.floats(0, 4)),
+                       eta=draw(st.floats(0, 4)), c0=draw(st.floats(0, 3)),
+                       mu=draw(st.floats(0, 1)), tau_floor=draw(st.floats(0.05, 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(params=_model_params(), seed=st.integers(0, 2**32))
+def test_stage_horizons_lie_in_range(params, seed):
+    assert 0 <= params.n_budget <= params.steps_upper
+    assert 0 <= params.n_lower <= params.npairs
+    ref = run_reference_sequences(params, RandomnessTape(params.n, seed))
+    assert ref.failures <= params.n_budget
 
 
 def test_kernel_step_from_complete_graph_is_uniform():
-    dist = point_mass(complete_graph(5))
+    dist = next(exact_stage_laws(ModelParams(n=5, d=2), "delete"))
     step = exact_kernel_step(dist, 2, "delete")
     assert len(step.probs) == 10
     assert set(step.probs.values()) == {Fraction(1, 10)}
@@ -232,7 +262,7 @@ def test_kernel_step_from_complete_graph_is_uniform():
 
 
 def test_kernel_step_add_from_empty_is_uniform_over_edges():
-    dist = point_mass(empty_graph(5))
+    dist = next(exact_stage_laws(ModelParams(n=5, d=2), "add"))
     step = exact_kernel_step(dist, 2, "add")
     assert len(step.probs) == 10
     assert set(step.probs.values()) == {Fraction(1, 10)}
@@ -240,7 +270,7 @@ def test_kernel_step_add_from_empty_is_uniform_over_edges():
 
 def test_kernel_preserves_mass_exactly():
     params = ModelParams(n=5, d=2)
-    dist = point_mass(complete_graph(5))
+    dist = next(exact_stage_laws(params, "delete"))
     for _ in range(4):
         dist = exact_kernel_step(dist, 2, "delete")
         assert dist.total() == 1
