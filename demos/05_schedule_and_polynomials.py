@@ -25,9 +25,10 @@ for i in (0, 10, 30, 50, 60, 70, 71, 72, 80):
 
 print("\nschedule mass over a small grid:")
 for n, d, c0 in ((8, 3, 1.0), (12, 4, 1.0), (16, 6, 1.0), (16, 6, 0.02)):
-    mass = schedule_mass(ModelParams(n=n, d=d, c0=c0))
+    params = ModelParams(n=n, d=d, c0=c0)
+    mass = schedule_mass(params)
     print(f"  n={n:2d} d={d} c0={c0:5.2f}: E_S = {mass.e_s:9.4f}  "
-          f"R/2 = {mass.r / 2:5.1f}  within budget: {mass.passed}")
+          f"R/2 = {params.R / 2:5.1f}  within budget: {mass.passed}")
 unit = schedule_mass(ModelParams(n=16, d=6, c0=1.0))
 tripled = schedule_mass(ModelParams(n=16, d=6, c0=3.0))
 print(f"  exact scaling: E_S(3.0) == 3 * E_S(1.0): "

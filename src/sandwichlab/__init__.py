@@ -75,13 +75,11 @@ from .switching import (
     build_six_cycle_graph,
     build_ten_cycle_graph,
     count_alternating,
-    six_cycle_degree,
     six_cycle_statistic,
     six_cycle_switches,
     switch_neighbors_le,
     switch_neighbors_le_absent,
     switch_neighbors_lef,
-    ten_cycle_degree,
     ten_cycle_switches,
     verify_double_count,
     weighted_endpoint_sum,

@@ -29,6 +29,8 @@ from .graphs import (
 )
 
 INF = float("inf")
+# check_connection tries every disjoint pair (U, V) up to this n, and samples above it
+EXHAUSTIVE_N = 8
 
 
 @dataclass
@@ -368,7 +370,7 @@ def check_local_density(h: SimpleGraph, size_cap: float = None,
 
 def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
                      size_floor: int = None, samples: int = 300,
-                     exhaustive_n: int = 8, rng=None) -> PropertyReport:
+                     rng=None) -> PropertyReport:
     """Large disjoint sets must see at least (1-lam)*(delta/n)*|U||V| F\\K-edges.
 
     delta here is the average F\\K degree.  The margin is the absolute edge
@@ -385,7 +387,7 @@ def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
     if delta == 0:
         return _vacuous("connection", params, "F\\K has no edges")
     vertices = range(1, n + 1)
-    exhaustive = n <= exhaustive_n
+    exhaustive = n <= EXHAUSTIVE_N
     fits = 2 * size_floor <= n  # else no disjoint pair meets the floor
 
     def pairs():
@@ -412,14 +414,13 @@ def check_connection(f: SimpleGraph, k: SimpleGraph, lam: float,
         return e_uv - bound, {"pair": (tuple(u), tuple(v_set)), "ratio": ratio}
 
     empty = ("no disjoint pair meets the floor" if exhaustive or not fits else
-             f"n={n} is above exhaustive_n={exhaustive_n} and samples {samples}")
+             f"n={n} is above exhaustive_n={EXHAUSTIVE_N} and samples {samples}")
     return _worst("connection", params,
                   (instance(u, v_set) for u, v_set in pairs()), empty)
 
 
 def check_uv_distribution(k: SimpleGraph, d: int, size_floor: int = None,
-                          samples: int = 0, rng=None,
-                          tolerance: float = None) -> PropertyReport:
+                          samples: int = 0, rng=None) -> PropertyReport:
     """Ordered edge counts between big sets must track (d/n)|U||V| within n^-0.01.
 
     At desk scale the default floor ceil(n^0.98) is within a vertex or two of
@@ -430,8 +431,7 @@ def check_uv_distribution(k: SimpleGraph, d: int, size_floor: int = None,
     if size_floor is None:
         size_floor = math.ceil(n ** 0.98)
     _require_floor(size_floor)
-    if tolerance is None:
-        tolerance = n ** -0.01
+    tolerance = n ** -0.01
     params = {"d": d, "size_floor": size_floor, "tolerance": tolerance}
     if d == 0:
         return _vacuous("uv-distribution", params, "d = 0 has no edges to place")

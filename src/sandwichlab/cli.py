@@ -14,7 +14,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
@@ -111,11 +111,14 @@ _VERTICES = _checked(_parse_vertices, "comma-separated vertices")
 
 # the model options: each is a flag of its field's type and a sweepable param
 _MODEL_TYPES = typing.get_type_hints(ModelParams)
+# a field with no default is a required option
+_MODEL_REQUIRED = {f.name for f in fields(ModelParams) if f.default is MISSING}
 
 
 def _params_from(options: dict) -> ModelParams:
+    # a missing required option is a KeyError, which main reports as such
     return ModelParams(**{k: options[k] for k in _MODEL_TYPES
-                          if options.get(k) is not None})
+                          if k in _MODEL_REQUIRED or options.get(k) is not None})
 
 
 # -- per-trial workers (top level so process pools can import them) --------------
@@ -294,10 +297,10 @@ def _cmd_schedule_mass(config):
     params = _params_from(config.options)
     mass = schedule_mass(params)
     row = {"n": params.n, "d": params.d, "eps": params.eps, "c0": params.c0,
-           "mu": params.mu, "e_s": mass.e_s, "half_r": mass.r / 2,
+           "mu": params.mu, "e_s": mass.e_s, "half_r": params.R / 2,
            "passed": mass.passed}
-    results = {"e_s": mass.e_s, "r": mass.r, "passed": mass.passed,
-               "horizon": mass.horizon, "rows": [row], "columns": list(row)}
+    results = {"e_s": mass.e_s, "r": params.R, "passed": mass.passed,
+               "horizon": params.n_budget, "rows": [row], "columns": list(row)}
     return results, True
 
 
@@ -308,14 +311,13 @@ def _cmd_fit(config):
     if model not in ("f", "fminus"):
         raise ValueError(f"unknown model {model!r}")
     upper = model == "f"
+    direction = "delete" if upper else "add"
     rng = random.Random(derive_seed(config.seed, "fit"))
     sampler = sample_f if upper else sample_fminus
-    stage = (params.steps_upper if upper else params.steps_lower) - params.m
     # cells are isomorphism classes: at desk sizes most labeled graphs
     # would fall below the pooling threshold
-    laws = closed_form_class_laws(params, "delete" if upper else "add")
-    if not 0 <= stage < len(laws):
-        raise ValueError("stage out of range")
+    laws = closed_form_class_laws(params, direction)
+    stage = params.planted_stage(direction)
     samples = [canonical_labeling(sampler(params, rng)[1])[0]
                for _ in range(config.trials)]
     fit = chi_square_uniformity(samples, laws[stage])
@@ -700,8 +702,12 @@ def main(argv=None) -> int:
     else:
         payload = json.dumps(report, indent=2, default=str) + "\n"
     if config.out:
-        with open(config.out, "w") as handle:
-            handle.write(payload)
+        try:
+            with open(config.out, "w") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {config.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 0 if report["hard_pass"] else 1

@@ -127,6 +127,19 @@ class ModelParams:
         if self.m is None:
             raise ValueError("this quantity needs the planted edge count m")
 
+    def planted_stage(self, direction: str) -> int:
+        """The stage last - m of the direction's process whose law the planted
+        pair's F has: K plus m non-edges (delete) or K minus m edges (add)."""
+        if direction not in ("delete", "add"):
+            raise ValueError(f"unknown direction {direction!r}")
+        self._need_m()
+        delete = direction == "delete"
+        last = self.steps_upper if delete else self.steps_lower
+        if not 0 <= self.m <= last:
+            model = "supergraph" if delete else "subgraph"
+            raise ValueError(f"m={self.m} out of range for the planted {model} model")
+        return last - self.m
+
     def stage_slack(self, i: int) -> float:
         """The slack eta_i of the companion schedule; 0 from stage
         C(n,2) - dn/2 on."""
@@ -879,9 +892,7 @@ def uniform_regular(n: int, d: int, rng) -> SimpleGraph:
 
 def sample_f(params: ModelParams, rng):
     """Sample the planted pair (K, F) with F = K plus m uniform non-edges."""
-    params._need_m()
-    if not 0 <= params.m <= params.steps_upper:
-        raise ValueError(f"m={params.m} out of range for the planted supergraph model")
+    params.planted_stage("delete")
     k = uniform_regular(params.n, params.d, rng)
     extras = rng.sample(complement(k).edges(), params.m)
     f = SimpleGraph(params.n, k.edges() + extras)
@@ -890,9 +901,7 @@ def sample_f(params: ModelParams, rng):
 
 def sample_fminus(params: ModelParams, rng):
     """Sample the planted pair (K, F) with F = K minus m uniform edges."""
-    params._need_m()
-    if not 0 <= params.m <= params.steps_lower:
-        raise ValueError(f"m={params.m} out of range for the planted subgraph model")
+    params.planted_stage("add")
     k = uniform_regular(params.n, params.d, rng)
     keep = set(k.edges()) - set(rng.sample(k.edges(), params.m))
     f = SimpleGraph(params.n, keep)

@@ -303,10 +303,9 @@ def _count(g: SimpleGraph, target) -> int:
 def count_regular_spanning_subgraphs(host: SimpleGraph, d: int) -> int:
     """Exact number of d-regular spanning subgraphs of the host.
 
-    Returns 0 (rather than erroring) when dn is odd or no subgraph exists.
+    Returns 0 (rather than erroring) when dn is odd or no subgraph exists,
+    d outside 0..n-1 included.
     """
-    if not 0 <= d <= host.n - 1 and d != 0:
-        return 0
     return _count(*_spanning(host, d))
 
 
@@ -371,9 +370,10 @@ def _profile_entry(g: SimpleGraph, d: int, family, cache):
     call, miss or hit, maps them back through the inverse relabeling into a
     fresh dict sorted by edge.
     """
-    _check_capacity(g.n)  # before labeling g, which is slow on a graph this large
     cache = DEFAULT_CACHE if cache is None else cache
     n = g.n
+    # the family checks the capacity before g is labeled, which is slow on
+    # a graph above it
     searched, target = family(g, d)
     cert, relabel = canonical_labeling(searched)
     key = (n, cert, d, family.__name__)

@@ -110,9 +110,7 @@ def chernoff_bound(mu: float, gamma: float) -> float:
 @dataclass
 class ScheduleMass:
     e_s: float
-    r: int
     passed: bool
-    horizon: int
     base_sum: float
 
 
@@ -124,13 +122,12 @@ def schedule_mass(params: ModelParams) -> ScheduleMass:
     E S is computed as c0 times a c0-free base sum, so scaling in c0 is exact.
     """
     unit = replace(params, c0=1.0)
-    horizon = params.n_budget
     base = 0.0
     # a plain left-to-right loop: sum() rounds floats differently from 3.12 on
-    for i in range(1, horizon + 1):
+    for i in range(1, params.n_budget + 1):
         base += unit.threshold_gap(i)
     e_s = params.c0 * base
-    return ScheduleMass(e_s, params.R, e_s <= params.R / 2, horizon, base)
+    return ScheduleMass(e_s, e_s <= params.R / 2, base)
 
 
 # -- goodness of fit -----------------------------------------------------------------
@@ -258,13 +255,10 @@ def translation_check(params: ModelParams, predicate) -> TranslationReport:
     also carries, for each t in TAIL_THRESHOLDS, the exact probability that a random F
     has a failing-subgraph proportion exceeding t.
     """
-    params._need_m()
-    _, last, normaliser = _closed_form(params, "delete")
-    n, d, m = params.n, params.d, params.m
-    if not 0 <= m <= last:
-        raise ValueError("m out of range")
+    _, _, normaliser = _closed_form(params, "delete")
     # the planted pair is the delete process's stage with m non-K edges left
-    denominator = normaliser(last - m)
+    denominator = normaliser(params.planted_stage("delete"))
+    n, d, m = params.n, params.d, params.m
     # left side: enumerate the planted pairs (K, E)
     lhs_bad = 0
     pairs = 0

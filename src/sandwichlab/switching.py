@@ -10,8 +10,9 @@ source's with the cycle's pair bits flipped, so the auxiliary graphs key it
 without building it.  Each switching kind has one cycle source that
 checks the arguments not depending on K and returns cycles(k, reverse=False),
 the cycles out of the left class (with reverse=True, out of the right one).
-Its neighbor list, its degree and its auxiliary bipartite graph, which records
-every switching between the two classes for an exact double count, read it.
+Its neighbor list (whose length is the switching degree) and its auxiliary
+bipartite graph, which records every switching between the two classes for an
+exact double count, read it.
 """
 
 from __future__ import annotations
@@ -331,11 +332,6 @@ def six_cycle_switches(k: SimpleGraph, wprime, mode: str,
     return [toggle(k, c) for c in _six_source(wprime, mode)(k, reverse)]
 
 
-def six_cycle_degree(k: SimpleGraph, wprime, mode: str) -> int:
-    """Number of six-cycle switchings from K lowering the tracked statistic by 1."""
-    return sum(1 for _ in _six_source(wprime, mode)(k))
-
-
 # -- ten-cycle switchings ----------------------------------------------------------
 
 def _ten_source(f: SimpleGraph, e, f_edge):
@@ -361,13 +357,6 @@ def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> lis
     cycles = _ten_source(f, e, f_edge)
     _check_member(k, d, partial=f, has=("e", e), lacks=("f", f_edge))
     return [toggle(k, c) for c in cycles(k)]
-
-
-def ten_cycle_degree(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> int:
-    """Number of ten-cycle switchings from K (zero below 10 vertices)."""
-    cycles = _ten_source(f, e, f_edge)
-    _check_member(k, d, partial=f, has=("e", e), lacks=("f", f_edge))
-    return sum(1 for _ in cycles(k))
 
 
 # -- auxiliary bipartite graphs -----------------------------------------------------

@@ -66,7 +66,6 @@ from sandwichlab.switching import (
     six_cycle_switches,
     switch_neighbors_le,
     switch_neighbors_lef,
-    ten_cycle_degree,
     ten_cycle_switches,
     verify_double_count,
 )
@@ -264,7 +263,7 @@ def test_criterion_06_switching_audits():
                   if small_k.has_edge(*fe))
         f8 = next(fe for fe in complement(small_k).edges()
                   if not set(fe) & set(e8))
-        assert ten_cycle_degree(small_f, 3, small_k, e8, f8) == 0
+        assert len(ten_cycle_switches(small_f, 3, small_k, e8, f8)) == 0
         substantive = 0
         for seed in range(300):
             inner = random.Random(derive_seed(707, seed))
@@ -387,7 +386,7 @@ def test_criterion_10_schedule_mass():
             unit = schedule_mass(ModelParams(n=n, d=d, eps=eps, c0=1.0, mu=mu))
             assert mass.e_s == c0 * unit.base_sum
             print(f"  n={n} d={d} eps={eps} c0={c0} mu={mu}: "
-                  f"E_S={mass.e_s:.4f} R/2={mass.r / 2} "
+                  f"E_S={mass.e_s:.4f} R/2={params.R / 2} "
                   f"{'PASS' if mass.passed else 'fail'}")
 
 

@@ -312,6 +312,38 @@ def test_fit_without_samples_is_a_usage_error(capsys):
         assert "error: no samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["schedule-mass", "--n", "0", "--d", "0"], "n must be positive"),
+    (["schedule-mass", "--n", "4", "--d", "4"], "need 0 <= d <= n-1"),
+    (["fit", "--n", "5", "--d", "2", "--m", "-1"], "m must be nonnegative"),
+])
+def test_model_params_refusals_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, m, name", [("f", "6", "supergraph"),
+                                            ("fminus", "6", "subgraph")])
+@pytest.mark.parametrize("trials", ["20", "0"])
+def test_fit_names_an_m_out_of_range(capsys, model, m, name, trials):
+    # n=5, d=2: five non-edges of K and five edges; no sample is needed to
+    # refuse m
+    assert main(["fit", "--n", "5", "--d", "2", "--m", m, "--model", model,
+                 "--trials", trials]) == 2
+    err = capsys.readouterr().err
+    assert f"error: m={m} out of range for the planted {name} model" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["couple-upper", "--d", "3", "--trials", "2"], "n"),
+    (["schedule-mass", "--n", "6"], "d"),
+    (["sweep", "--command", "verify-marginals", "--param", "n", "--values", "4"], "d"),
+])
+def test_missing_model_option_is_named(capsys, argv, name):
+    assert main(argv) == 2
+    assert f"error: missing required option: {name}" in capsys.readouterr().err
+
+
 def test_model_flags_track_model_params(capsys):
     fields = dataclasses.fields(ModelParams)
     argv = ["couple-upper"]
@@ -383,6 +415,13 @@ def test_out_file(tmp_path):
     assert code == 0
     report = json.loads(target.read_text())
     assert report["results"]["marginal_check"] == "exact"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["count", "--host", K5, "--d", "2", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
 
 
 C6 = "n=6;edges=1-2,2-3,3-4,4-5,5-6,1-6"
@@ -764,6 +803,46 @@ def test_sweep_value_of_the_wrong_type_names_values(capsys, argv, message):
     err = capsys.readouterr().err
     assert f"error: argument --values: {message}" in err
     assert "Traceback" not in err
+
+
+# a small invocation of each subcommand that exits 0: n <= 6, at most 20 trials
+_SMALL_INVOCATIONS = {
+    "count": ["--host", K5, "--d", "2"],
+    "paths": ["--f", "n=4;edges=1-2", "--k", "n=4;edges=2-3", "--x", "1",
+              "--y", "3", "--ell", "1"],
+    "switchings": ["--host", C6, "--d", "2", "--kind", "lef", "--e", "1-2",
+                   "--f-edge", "4-5"],
+    "audit": ["--property", "connection", "--n", "6", "--d", "3", "--m", "3",
+              "--lam", "0.5"],
+    "kimvu": ["--n", "6", "--d", "3", "--m", "3", "--x", "1", "--y", "2", "--k", "2"],
+    "schedule-mass": ["--n", "6", "--d", "3", "--c0", "0.5"],
+    "fit": ["--n", "5", "--d", "2", "--m", "2", "--model", "fminus",
+            "--trials", "20", "--seed", "3"],
+    "couple-upper": ["--n", "4", "--d", "3", "--eps", "0.5", "--trials", "2"],
+    "couple-lower": ["--n", "4", "--d", "3", "--eta", "0.2", "--trials", "2"],
+    "verify-marginals": ["--n", "4", "--d", "3", "--exact-ceiling", "5"],
+    "sweep": ["--command", "couple-upper", "--param", "eps", "--values", "0.5,0.9",
+              "--n", "4", "--d", "3", "--trials", "2", "--format", "csv"],
+}
+
+
+def test_every_subcommand_has_a_small_invocation():
+    assert set(_SMALL_INVOCATIONS) == set(_subparsers())
+
+
+@pytest.mark.parametrize("command", list(_SMALL_INVOCATIONS))
+def test_dropping_any_one_option_exits_0_or_2(capsys, command):
+    # every option of these invocations takes a value, so they come in pairs
+    pairs = list(zip(*[iter(_SMALL_INVOCATIONS[command])] * 2))
+    assert main([command, *(token for pair in pairs for token in pair)]) == 0
+    for dropped in pairs:
+        argv = [token for pair in pairs if pair is not dropped for token in pair]
+        try:
+            code = main([command, *argv])
+        except SystemExit as exc:  # argparse refused the command line
+            code = exc.code
+        assert code in (0, 2), (command, dropped[0], code)
+        capsys.readouterr()
 
 
 def _readme_command_lines():

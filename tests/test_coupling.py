@@ -46,6 +46,35 @@ from sandwichlab.tape import MAX_DRAWS, RandomnessTape, TapeBoundError, derive_s
 from _reference import expand_class_law
 
 
+def test_planted_stage_is_last_minus_m():
+    # n=6, d=2: 9 deletion stages and 6 addition stages
+    params = ModelParams(n=6, d=2, m=2)
+    assert params.planted_stage("delete") == 7
+    assert params.planted_stage("add") == 4
+    for direction, m, model in (("delete", 10, "supergraph"), ("add", 7, "subgraph")):
+        with pytest.raises(ValueError,
+                           match=f"m={m} out of range for the planted {model} model"):
+            ModelParams(n=6, d=2, m=m).planted_stage(direction)
+    with pytest.raises(ValueError, match="needs the planted edge count m"):
+        ModelParams(n=6, d=2).planted_stage("delete")
+    with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+        params.planted_stage("sideways")
+
+
+def test_kernel_step_refuses_an_unknown_direction():
+    law = next(exact_stage_laws(ModelParams(n=4, d=2), "delete"))
+    with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+        exact_kernel_step(law, 2, "sideways")
+
+
+def test_interleaving_refuses_transcripts_of_different_vertex_counts():
+    run = run_coupled_upper(ModelParams(n=5, d=2), 0)
+    other = run_coupled_upper(ModelParams(n=6, d=3), 0)
+    mixed = dataclasses.replace(run, gstar_transcript=other.gstar_transcript)
+    with pytest.raises(ValueError, match="transcripts come from different vertex counts"):
+        verify_transcript_interleaving(mixed)
+
+
 def test_eta_schedule_formula_and_support():
     params = ModelParams(n=16, d=6, c0=1.0, mu=0.1)
     logn = math.log(16)

@@ -257,9 +257,16 @@ def test_graph_literal_round_trip():
 
 def test_graph_literal_rejects_garbage():
     for bad in ("n=3", "edges=1-2", "n=3;edges=1-1", "n=3;edges=1-9",
-                "n=3;edges=1+2"):
+                "n=3;edges=1+2", "x=3;edges=1-2", "n=3;pairs=1-2"):
         with pytest.raises(GraphFormatError):
             parse_graph_literal(bad)
+
+
+def test_vertex_count_must_be_positive():
+    for n in (0, -2):
+        with pytest.raises(GraphFormatError,
+                           match=f"vertex count must be positive, got {n}"):
+            SimpleGraph(n)
 
 
 def test_no_self_loops():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,7 @@ from sandwichlab.graphs import (
     complete_graph,
     random_regular_graph,
 )
-from sandwichlab.oracle import enumerate_regular
+from sandwichlab.oracle import CapacityError, enumerate_regular
 from sandwichlab.stats import (
     ModelViolationError,
     chernoff_bound,
@@ -72,6 +73,15 @@ def test_schedule_mass_matches_direct_sum():
         for i in range(1, params.n_budget + 1)
     )
     assert schedule_mass(params).e_s == pytest.approx(direct, rel=1e-12)
+
+
+def test_path_polynomial_refuses_an_order_above_four_or_p_outside_0_1():
+    k = random_regular_graph(6, 3, random.Random(61))
+    with pytest.raises(CapacityError, match="k <= 4"):
+        path_polynomial_stats(k, Fraction(1, 2), 1, 2, 5)
+    for p in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=re.escape("p must lie in [0,1]")):
+            path_polynomial_stats(k, p, 1, 2, 2)
 
 
 def test_path_polynomial_p_zero_and_one():

@@ -22,13 +22,11 @@ from sandwichlab.switching import (
     build_six_cycle_graph,
     build_ten_cycle_graph,
     count_alternating,
-    six_cycle_degree,
     six_cycle_statistic,
     six_cycle_switches,
     switch_neighbors_le,
     switch_neighbors_le_absent,
     switch_neighbors_lef,
-    ten_cycle_degree,
     ten_cycle_switches,
     verify_double_count,
     weighted_endpoint_sum,
@@ -229,8 +227,7 @@ def test_switch_neighbors_refuse_k_not_d_regular():
     cases = (lambda: switch_neighbors_le(k6, 3, c6, (1, 2), 1),
              lambda: switch_neighbors_le_absent(k6, 3, c6, (1, 3), 1),
              lambda: switch_neighbors_lef(k6, 3, c6, (1, 2), (3, 5), 1),
-             lambda: ten_cycle_switches(partial, 3, c6, (1, 2), (3, 6)),
-             lambda: ten_cycle_degree(partial, 3, c6, (1, 2), (3, 6)))
+             lambda: ten_cycle_switches(partial, 3, c6, (1, 2), (3, 6)))
     for call in cases:
         with pytest.raises(ValueError, match="K must be d-regular"):
             call()
@@ -248,7 +245,7 @@ _C6_HOST = complete_graph(6).without_edge(1, 4).without_edge(3, 6)
 _C6_WITHOUT_12 = SimpleGraph(6, [(1, 3), (3, 4), (2, 4), (2, 5), (5, 6), (1, 6)])
 _C6_PARTIAL = _C6.without_edge(1, 2).without_edge(3, 4)
 
-# each kind's neighbor lists, degree and builder, from valid default arguments
+# each kind's neighbor lists and builder, from valid default arguments
 _KIND_READERS = {
     "le": lambda e=(1, 2), ell=1: [
         lambda: switch_neighbors_le(_C6_HOST, 2, _C6, e, ell),
@@ -259,14 +256,26 @@ _KIND_READERS = {
         lambda: build_lef_graph(_C6_HOST, 2, e, f_edge, ell)],
     "ten": lambda e=(1, 2), f_edge=(3, 6): [
         lambda: ten_cycle_switches(_C6_PARTIAL, 2, _C6, e, f_edge),
-        lambda: ten_cycle_degree(_C6_PARTIAL, 2, _C6, e, f_edge),
         lambda: build_ten_cycle_graph(_C6_PARTIAL, 2, e, f_edge)],
     "six": lambda wprime=(1, 2), mode="two-in": [
         lambda: six_cycle_switches(_C6, wprime, mode),
         lambda: six_cycle_switches(_C6, wprime, mode, reverse=True),
-        lambda: six_cycle_degree(_C6, wprime, mode),
         lambda: build_six_cycle_graph(2, wprime, mode, [_C6])],
 }
+
+
+# a K that misses the partial graph, lacks e, or holds f
+@pytest.mark.parametrize("call, message", [
+    (lambda: ten_cycle_switches(_C6_PARTIAL, 2, _C6_WITHOUT_12, (1, 2), (3, 6)),
+     "the partial graph must lie inside K"),
+    (lambda: switch_neighbors_le(_C6_HOST, 2, _C6_WITHOUT_12, (1, 2), 1),
+     "e must be an edge of K"),
+    (lambda: switch_neighbors_lef(_C6_HOST, 2, _C6, (1, 2), (4, 5), 1),
+     "f must be absent from K"),
+], ids=["partial", "has-e", "lacks-f"])
+def test_switch_neighbors_refuse_k_against_its_edges(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("kind, bad, message", [
@@ -300,8 +309,8 @@ def test_readers_of_one_kind_refuse_a_bad_argument_alike(kind, bad, message):
 def test_six_cycle_statistic_no_touching_edges():
     k = SimpleGraph(8, [(5, 6), (6, 7), (5, 7)])
     w = {1, 2}
-    assert six_cycle_degree(k, w, "two-in") == 0
-    assert six_cycle_degree(k, w, "one-in") == 0
+    assert len(six_cycle_switches(k, w, "two-in")) == 0
+    assert len(six_cycle_switches(k, w, "one-in")) == 0
 
 
 def test_six_cycle_switches_move_statistic_by_one():
@@ -355,7 +364,7 @@ def test_ten_cycle_small_n_is_zero():
     f = k.without_edge(*k.edges()[0])
     e = next(fe for fe in complement(f).edges() if k.has_edge(*fe))
     f_edge = next(fe for fe in complement(k).edges() if not set(fe) & set(e))
-    assert ten_cycle_degree(f, 3, k, e, f_edge) == 0
+    assert len(ten_cycle_switches(f, 3, k, e, f_edge)) == 0
 
 
 def _ten_cycle_instance(seed):
@@ -448,7 +457,7 @@ def test_verify_double_count_negative_control():
 def test_repeated_left_member_counts_once():
     w = {1, 2, 3}
     k = next(k for k in enumerate_regular(complete_graph(8), 3)
-             if six_cycle_degree(k, w, "two-in"))
+             if len(six_cycle_switches(k, w, "two-in")))
     once = build_six_cycle_graph(3, w, "two-in", [k])
     twice = build_six_cycle_graph(3, w, "two-in", [k, k])
     assert twice == once
