@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -30,6 +31,7 @@ from .audit import (
 )
 from .coupling import (
     ModelParams,
+    _last_stage,
     class_stage_laws,
     closed_form_class_laws,
     run_coupled_lower,
@@ -314,10 +316,12 @@ def _cmd_fit(config):
     direction = "delete" if upper else "add"
     rng = random.Random(derive_seed(config.seed, "fit"))
     sampler = sample_f if upper else sample_fminus
+    # n above the exact ceiling, then m, are refused before any law is built
+    _last_stage(params, direction)
+    stage = params.planted_stage(direction)
     # cells are isomorphism classes: at desk sizes most labeled graphs
     # would fall below the pooling threshold
     laws = closed_form_class_laws(params, direction)
-    stage = params.planted_stage(direction)
     samples = [canonical_labeling(sampler(params, rng)[1])[0]
                for _ in range(config.trials)]
     fit = chi_square_uniformity(samples, laws[stage])
@@ -672,6 +676,20 @@ def _parse_with_file(parser, command: str, argv: list,
     return args
 
 
+def _check_writable(path: str):
+    """Refuse an --out path that cannot be opened for writing, before the
+    run; a file this check creates is removed again, so a refused run leaves
+    none behind."""
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -685,6 +703,8 @@ def main(argv=None) -> int:
         if file_values:
             args = _parse_with_file(parser, args.subcommand, argv, file_values)
         config = config_from_args(args)
+        if config.out:
+            _check_writable(config.out)
         report = run_experiment(config)
     except SystemExit as exc:
         # argparse has printed why it refused a file value

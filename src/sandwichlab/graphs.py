@@ -180,8 +180,16 @@ def cycle_graph(n: int) -> SimpleGraph:
 
 
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:
+    """The graph whose edge_mask() is mask, built from its rows."""
     pairs = pair_list(n)
-    return SimpleGraph(n, (pairs[i] for i in _bits(mask)))
+    rows = [0] * (n + 1)
+    while mask:
+        low = mask & -mask
+        u, v = pairs[low.bit_length() - 1]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        mask ^= low
+    return SimpleGraph._from_rows(n, rows)
 
 
 def gnp_graph(n: int, p: float, rng) -> SimpleGraph:
@@ -265,18 +273,6 @@ def canonical_key(g: SimpleGraph):
     return (g.n, g.edge_mask())
 
 
-def toggle(g: SimpleGraph, cycle) -> SimpleGraph:
-    """g with each pair of the closed vertex sequence flipped between edge and
-    non-edge: cycle[i]cycle[i+1], and cycle[-1]cycle[0] closing it."""
-    rows = list(g.adj)
-    prev = cycle[-1]
-    for v in cycle:
-        rows[prev] ^= 1 << v
-        rows[v] ^= 1 << prev
-        prev = v
-    return SimpleGraph._from_rows(g.n, rows)
-
-
 @lru_cache(maxsize=None)
 def _pair_bits(n: int) -> tuple:
     """bit[u][w] == bit[w][u]: the pair uw's bit in edge_mask's layout,
@@ -288,7 +284,9 @@ def _pair_bits(n: int) -> tuple:
 
 
 def _toggled_mask(bit, mask, cycle) -> int:
-    """toggle(g, cycle).edge_mask() from mask == g.edge_mask() and
+    """The edge mask of g with each pair of the closed vertex sequence
+    flipped between edge and non-edge (cycle[i]cycle[i+1], and
+    cycle[-1]cycle[0] closing it), from mask == g.edge_mask() and
     bit == _pair_bits(g.n): each pair of the cycle XORs its bit."""
     prev = cycle[-1]
     for v in cycle:

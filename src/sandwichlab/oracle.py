@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import combinations
+from operator import itemgetter
 
 from .graphs import (
     SimpleGraph,
-    canonical_key,
     canonical_labeling,
     checked_pair,
     complement,
+    _pair_bits,
 )
 
 ORACLE_CEILING = 24
@@ -339,24 +340,42 @@ def count_extensions_with_edge(f: SimpleGraph, d: int, e) -> int:
 
 # -- enumeration ---------------------------------------------------------------
 
-def _enumerate(base: list, g: SimpleGraph, target):
+def _enumerate(base: SimpleGraph, g: SimpleGraph, target):
     """Every graph base + S over the subgraphs S of g the search finds, in
-    canonical_key order."""
+    canonical_key order.
+
+    g shares no edge with base, so each graph is base's rows with S's edges
+    set, with no edge re-checked, and its edge mask, which orders the
+    graphs as canonical_key does, is base's mask with S's pair bits set.
+    """
     total, root, tables = _private_search(g.adj, g.n, target)
-    found = [SimpleGraph(g.n, base + edges)
-             for edges in _subgraphs(root, g.n, tables)] if total else []
-    found.sort(key=canonical_key)
-    yield from found
+    if not total:
+        return
+    n = g.n
+    bit = _pair_bits(n)
+    base_mask = base.edge_mask()
+    found = []
+    for edges in _subgraphs(root, n, tables):
+        rows = list(base.adj)
+        mask = base_mask
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            mask |= bit[u][v]
+        found.append((mask, SimpleGraph._from_rows(n, rows)))
+    found.sort(key=itemgetter(0))
+    for _, h in found:
+        yield h
 
 
 def enumerate_regular(host: SimpleGraph, d: int):
     """Yield every d-regular spanning subgraph of the host, in canonical_key order."""
-    yield from _enumerate([], *_spanning(host, d))
+    yield from _enumerate(SimpleGraph(host.n), *_spanning(host, d))
 
 
 def enumerate_extensions(f: SimpleGraph, d: int):
     """Yield every d-regular graph on {1..n} containing f, in canonical_key order."""
-    yield from _enumerate(f.edges(), *_completions(f, d))
+    yield from _enumerate(f, *_completions(f, d))
 
 
 # -- edge profiles (used by the coupling processes) ---------------------------

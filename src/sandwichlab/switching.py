@@ -4,31 +4,33 @@ A path here is always simple and alternates between two edge sets; lengths
 count edges.  Between-endpoint counts treat paths as undirected with a
 designated start, so each path is counted exactly once.  A switching is an
 alternating cycle: a closed vertex sequence whose pairs alternate between
-edges of K and non-edges.  Applying it flips every pair (graphs.toggle),
-carrying one regular graph to another; the result's edge mask is the
-source's with the cycle's pair bits flipped, so the auxiliary graphs key it
-without building it.  Each switching kind has one cycle source that
-checks the arguments not depending on K and returns cycles(k, reverse=False),
-the cycles out of the left class (with reverse=True, out of the right one).
-Its neighbor list (whose length is the switching degree) and its auxiliary
-bipartite graph, which records every switching between the two classes for an
-exact double count, read it.
+edges of K and non-edges.  Applying it flips every pair, carrying one
+regular graph to another, so it is carried as its flips: the XOR of its
+pairs' bits in edge_mask's layout (graphs._pair_bits).  The result's edge
+mask is the source's XOR the flips, so the auxiliary graphs key it without
+building it.  Each switching kind has one cycle source that checks the
+arguments not depending on K and returns cycles(k, reverse=False), which
+walks the cycles out of the left class (with reverse=True, out of the right
+one) and yields their flips.  Its neighbor list (whose length is the
+switching degree) and its auxiliary bipartite graph, which records every
+switching between the two classes for an exact double count, read it.  The
+two-path kinds (lef, ten) also return can_switch(members), a bound that
+tells a whole family in one walk that no member can switch.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 from .graphs import (
     SimpleGraph,
     canonical_pair,
     check_vertex,
     checked_pair,
-    complement,
     difference,
-    edges_inside,
+    graph_from_mask,
     is_regular,
-    toggle,
     vertex_mask,
     _bits,
     _pair_bits,
@@ -41,39 +43,43 @@ from .oracle import enumerate_extensions, enumerate_regular
 
 def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
     """Yield the vertex tuples of the simple alternating paths of `length`
-    edges from x.
+    edges from x, in lexicographic order.
 
     Edge j uses odd_rows for odd j and even_rows for even j.  Intermediate
     vertices avoid avoid_mask; the final vertex must be y when y is given,
     otherwise it is any vertex outside avoid_mask.  The rows must be
-    symmetric (w in rows[v] iff v in rows[w]): with y given, y is kept out of
-    the intermediate vertices and the vertex before it is drawn from y's own
-    row of the last edge's set, so no branch is entered that cannot end at y.
+    symmetric (w in rows[v] iff v in rows[w]).  With y given the walk is
+    pruned from both ends: y is kept out of the intermediate vertices, and
+    the vertex reached by edge j must lie in the backward reach of y, the
+    intermediate vertices from which edges j+1, ..., length can lead to y
+    (repeats allowed).  Level length-1 is y's own row of the last edge's
+    set and each earlier level is the union of the next one's rows, so the
+    masks drop only branches that cannot end at y, and the paths come in
+    the same order as from the unpruned walk.
     """
     path = [x]
     # allowed[j]: where the vertex reached by edge j may lie, besides unvisited
     allowed = [~avoid_mask] * (length + 1)
     if y is not None:
-        allowed = [~(avoid_mask | (1 << y))] * length
-        allowed[-1] &= (odd_rows if length & 1 else even_rows)[y]
+        back = allowed[length] = 1 << y
+        inner = ~(avoid_mask | back)
+        for j in range(length - 1, 0, -1):
+            rows = odd_rows if (j + 1) & 1 else even_rows
+            reach = 0
+            for w in _bits(back):
+                reach |= rows[w]
+            back = allowed[j] = reach & inner
+            if not back:
+                return
 
     def rec(v, visited, j):
         row = odd_rows[v] if j & 1 else even_rows[v]
-        if j == length:
-            if y is not None:
-                if (row >> y) & 1 and not (visited >> y) & 1:
-                    path.append(y)
-                    yield tuple(path)
-                    path.pop()
-            else:
-                for w in _bits(row & ~visited & allowed[j]):
-                    path.append(w)
-                    yield tuple(path)
-                    path.pop()
-            return
         for w in _bits(row & ~visited & allowed[j]):
             path.append(w)
-            yield from rec(w, visited | (1 << w), j + 1)
+            if j == length:
+                yield tuple(path)
+            else:
+                yield from rec(w, visited | (1 << w), j + 1)
             path.pop()
 
     yield from rec(x, 1 << x, 1)
@@ -140,23 +146,78 @@ def _check_member(k: SimpleGraph, d: int, host=None, partial=None, has=None,
         raise ValueError("K must be d-regular")
 
 
+def _neighbors(k: SimpleGraph, flips) -> list:
+    """The graphs K switched by each of the given flip masks."""
+    mask = k.edge_mask()
+    return [graph_from_mask(k.n, mask ^ f) for f in flips]
+
+
+def _complement_rows(adj) -> list:
+    """The rows of the complement of the graph with rows adj (row 0 stays 0)."""
+    return [o & ~a for o, a in zip(_others(len(adj) - 1), adj)]
+
+
+@lru_cache(maxsize=None)
+def _others(n: int) -> tuple:
+    """others[v]: the mask of every vertex of 1..n but v; others[0] is 0."""
+    full = (1 << (n + 1)) - 2
+    return (0, *(full & ~(1 << v) for v in range(1, n + 1)))
+
+
+def _two_path_cycles(odd_rows, even_rows, ends, length: int, bit):
+    """Yield the flips of the two-path cycles through the pairs
+    ends = ((u1, u2), (v1, v2)) over the given rows.
+
+    For each pairing (w1, w2) of v1, v2 the first halves (u1 to w1, avoiding
+    u2 and w2) and the second halves (u2 to w2, avoiding u1 and w1) are each
+    walked once, and every vertex-disjoint pair is joined: the cycle runs
+    out along the first half, across w1w2, back along the second and across
+    u2u1.  The first halves come in walk order and, for each, the second
+    halves disjoint from it in walk order, as if the second half were walked
+    avoiding the first.
+    """
+    (u1, u2), (v1, v2) = ends
+    for w1, w2 in ((v1, v2), (v2, v1)):
+        firsts = list(_alt_paths(odd_rows, even_rows, u1, length, w1,
+                                 (1 << u2) | (1 << w2)))
+        if not firsts:
+            continue
+        seconds = [(vertex_mask(p2), p2[::-1]) for p2 in
+                   _alt_paths(odd_rows, even_rows, u2, length, w2,
+                              (1 << u1) | (1 << w1))]
+        for p1 in firsts:
+            mask1 = vertex_mask(p1)
+            for mask2, p2 in seconds:
+                if not mask1 & mask2:
+                    yield _toggled_mask(bit, 0, p1 + p2)
+
+
 def _two_path_source(rows, e, f_edge, length: int):
-    """Cycle source of the switchings through e and f_edge made of two
-    vertex-disjoint paths, one from each endpoint of e to an endpoint of
+    """(cycles, can_switch) of the switchings through e and f_edge made of
+    two vertex-disjoint paths, one from each endpoint of e to an endpoint of
     f_edge (both pairings admitted); reverse swaps e and f_edge.  Each path
-    has `length` edges alternating the rows (odd_rows, even_rows) = rows(k),
-    added to K and removed from it.  The cycle runs out along the first path,
-    across f_edge, back along the second and across e."""
+    has `length` edges alternating the row lists (odd_rows, even_rows) =
+    rows(lo, hi), added to K and removed from it (_two_path_cycles).
+
+    rows(lo, hi) is written for any K whose rows lie between lo and hi, each
+    of its row lists growing with hi and shrinking with lo; lo = hi = K.adj
+    gives K's own.  can_switch(members) is False only when no member has a
+    cycle out of the left class: with lo and hi the AND and the OR of the
+    members' rows, every member's paths are paths of rows(lo, hi), which is
+    walked once in their place.
+    """
     def cycles(k: SimpleGraph, reverse: bool = False):
-        (u1, u2), (v1, v2) = (f_edge, e) if reverse else (e, f_edge)
-        odd_rows, even_rows = rows(k)
-        for w1, w2 in ((v1, v2), (v2, v1)):
-            avoid1 = (1 << u2) | (1 << w2)
-            for p1 in _alt_paths(odd_rows, even_rows, u1, length, w1, avoid1):
-                for p2 in _alt_paths(odd_rows, even_rows, u2, length, w2,
-                                     vertex_mask(p1)):
-                    yield p1 + p2[::-1]
-    return cycles
+        ends = (f_edge, e) if reverse else (e, f_edge)
+        return _two_path_cycles(*rows(k.adj, k.adj), ends, length, _pair_bits(k.n))
+
+    def can_switch(members) -> bool:
+        columns = list(zip(*(k.adj for k in members)))
+        lo = [reduce(and_, column) for column in columns]
+        hi = [reduce(or_, column) for column in columns]
+        found = _two_path_cycles(*rows(lo, hi), (e, f_edge), length,
+                                 _pair_bits(len(columns) - 1))
+        return next(found, None) is not None
+    return cycles, can_switch
 
 
 def _le_source(f: SimpleGraph, e, ell: int):
@@ -168,11 +229,13 @@ def _le_source(f: SimpleGraph, e, ell: int):
     if ell < 1:
         raise ValueError("ell must be positive")
     length = 2 * ell + 1
+    bit = _pair_bits(f.n)
 
     def cycles(k: SimpleGraph, reverse: bool = False):
-        fk = difference(f, k).adj
+        fk = [a & ~b for a, b in zip(f.adj, k.adj)]
         odd, even = (k.adj, fk) if reverse else (fk, k.adj)
-        return _alt_paths(odd, even, u, length, v, 0)
+        return (_toggled_mask(bit, 0, c)
+                for c in _alt_paths(odd, even, u, length, v, 0))
     return cycles
 
 
@@ -185,7 +248,7 @@ def switch_neighbors_le(f: SimpleGraph, d: int, k: SimpleGraph, e, ell: int) -> 
     """
     cycles = _le_source(f, e, ell)
     _check_member(k, d, host=f, has=("e", e))
-    return [toggle(k, c) for c in cycles(k)]
+    return _neighbors(k, cycles(k))
 
 
 def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
@@ -194,12 +257,12 @@ def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
     e in E(K') whose symmetric difference with K is one (2*ell+2)-cycle."""
     cycles = _le_source(f, e, ell)
     _check_member(k, d, host=f, lacks=("e", e))
-    return [toggle(k, c) for c in cycles(k, reverse=True)]
+    return _neighbors(k, cycles(k, reverse=True))
 
 
 def _lef_source(f: SimpleGraph, e, f_edge, ell: int):
-    """lef cycles: two (F\\K, K)-alternating paths of length 2*ell+2 from e
-    to f_edge; reverse swaps e and f_edge."""
+    """lef (cycles, can_switch): two (F\\K, K)-alternating paths of length
+    2*ell+2 from e to f_edge; reverse swaps e and f_edge."""
     e, f_edge = checked_pair(f, e), checked_pair(f, f_edge)
     for name, edge in (("e", e), ("f", f_edge)):
         if not f.has_edge(*edge):
@@ -208,8 +271,9 @@ def _lef_source(f: SimpleGraph, e, f_edge, ell: int):
         raise ValueError("e and f must share no vertices")
     if ell < 1:
         raise ValueError("ell must be positive")
-    return _two_path_source(lambda k: (difference(f, k).adj, k.adj),
-                            e, f_edge, 2 * ell + 2)
+    return _two_path_source(
+        lambda lo, hi: ([a & ~b for a, b in zip(f.adj, lo)], hi),
+        e, f_edge, 2 * ell + 2)
 
 
 def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
@@ -223,12 +287,36 @@ def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
     Both endpoint pairings are admitted since the labeling of e and f is
     arbitrary; the relation is symmetric under swapping (K, e) with (K', f).
     """
-    cycles = _lef_source(f, e, f_edge, ell)
+    cycles, _ = _lef_source(f, e, f_edge, ell)
     _check_member(k, d, host=f, has=("e", e), lacks=("f", f_edge))
-    return [toggle(k, c) for c in cycles(k)]
+    return _neighbors(k, cycles(k))
 
 
 # -- six-cycle switchings ---------------------------------------------------------
+
+def _wprime_mask(k: SimpleGraph, wprime) -> int:
+    """W' as a vertex mask, once each of its vertices is checked against K."""
+    for v in wprime:
+        check_vertex(k, v)
+    return vertex_mask(wprime)
+
+
+def _six_statistic(adj, wmask: int, mode: str) -> int:
+    """six_cycle_statistic from the rows adj and a checked W' mask.
+
+    one-in: the sum over outside vertices of max(c_v - 1, 0), c_v the
+    vertex's W'-degree, is the edge count between W' and the outside less
+    the number of outside vertices with c_v >= 1.
+    """
+    if mode == "two-in":
+        return sum((adj[w] & wmask).bit_count() for w in _bits(wmask)) // 2
+    outside = ~wmask
+    between = touched = 0
+    for w in _bits(wmask):
+        between += (adj[w] & outside).bit_count()
+        touched |= adj[w]
+    return between - (touched & outside).bit_count()
+
 
 def six_cycle_statistic(k: SimpleGraph, wprime, mode: str) -> int:
     """The quantity the six-cycle switchings walk down.
@@ -236,19 +324,15 @@ def six_cycle_statistic(k: SimpleGraph, wprime, mode: str) -> int:
     two-in: edge count inside the set; one-in: sum over outside vertices of
     max(degree into the set - 1, 0).
     """
-    for v in wprime:
-        check_vertex(k, v)
-    wmask = vertex_mask(wprime)
-    if mode == "two-in":
-        return edges_inside(k, wprime)
-    if mode == "one-in":
-        return sum(max((k.adj[v] & wmask).bit_count() - 1, 0)
-                   for v in range(1, k.n + 1) if not (wmask >> v) & 1)
-    raise ValueError(f"unknown mode {mode!r}")
+    wmask = _wprime_mask(k, wprime)
+    if mode not in ("two-in", "one-in"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _six_statistic(k.adj, wmask, mode)
 
 
 def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
-    """Alternating 6-cycles (v1, ..., v6) realizing a unit move of the statistic.
+    """Yield the flips of the alternating 6-cycles (v1, ..., v6) realizing a
+    unit move of the statistic, built up one pair per loop level.
 
     v1v2, v3v4 and v5v6 are in `first` and v2v3, v4v5 and v6v1 in `second`.
     Forward cycles take `first` from K, so flipping them removes three
@@ -271,25 +355,27 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     the masks drop only such branches, and the cycles come in the same order
     as from the unpruned walk.
     """
-    n = k.n
     adj = k.adj
-    full = (1 << (n + 1)) - 2
-    non = [0] + [(full & ~adj[v]) & ~(1 << v) for v in range(1, n + 1)]
+    bit = _pair_bits(k.n)
+    non = _complement_rows(adj)
     first, second = (adj, non) if not reverse else (non, adj)
-    outside = full & ~wmask
+    outside = ((1 << (k.n + 1)) - 2) & ~wmask
     if mode == "two-in":
         ends = outside
     else:
-        # one-in bounds on the W'-degrees of v2 (at least) and v6 (at most)
-        min2, max6 = (1, 1) if reverse else (2, 0)
-        wdeg = [(row & wmask).bit_count() for row in adj]
-        ends = outside & vertex_mask(v for v in range(1, n + 1)
-                                     if wdeg[v] <= max6)
-    for v1 in _bits(wmask & full):
+        # one-in bounds on the W'-degrees of v2 (at least 2 forward, 1
+        # reverse) and v6 (at most 0 forward, 1 reverse)
+        once = twice = 0
+        for w in _bits(wmask):
+            twice |= once & adj[w]
+            once |= adj[w]
+        starts = outside & (once if reverse else twice)
+        ends = outside & ~(twice if reverse else once)
+    for v1 in _bits(wmask):
         if mode == "two-in":
-            v2s = [v2 for v2 in _bits(first[v1] & wmask) if v2 > v1]
+            v2s = _bits(first[v1] & wmask & (-1 << (v1 + 1)))
         else:
-            v2s = [v2 for v2 in _bits(first[v1] & outside) if wdeg[v2] >= min2]
+            v2s = _bits(first[v1] & starts)
         ends6 = second[v1] & ends
         if not (v2s and ends6):
             continue
@@ -301,49 +387,62 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
         for v5 in _bits(reach5):
             reach4 |= second[v5]
         reach4 &= outside
+        bit1 = bit[v1]
         for v2 in v2s:
             used12 = (1 << v1) | (1 << v2)
+            bit2 = bit[v2]
+            flips2 = bit1[v2]
             for v3 in _bits(second[v2] & outside & ~used12):
                 used3 = used12 | (1 << v3)
+                bit3 = bit[v3]
+                flips3 = flips2 ^ bit2[v3]
                 for v4 in _bits(first[v3] & reach4 & ~used3):
                     used4 = used3 | (1 << v4)
+                    bit4 = bit[v4]
+                    flips4 = flips3 ^ bit3[v4]
                     for v5 in _bits(second[v4] & reach5 & ~used4):
+                        bit5 = bit[v5]
+                        flips5 = flips4 ^ bit4[v5]
                         for v6 in _bits(first[v5] & ends6 & ~(used4 | (1 << v5))):
-                            yield (v1, v2, v3, v4, v5, v6)
+                            yield flips5 ^ bit5[v6] ^ bit1[v6]
 
 
 def _six_source(wprime, mode: str):
     """six-cycle cycles, walked by _six_cycles; with no host, W' is checked
-    against each K's vertex range."""
+    against each vertex count it meets, once."""
     if mode not in ("two-in", "one-in"):
         raise ValueError(f"unknown mode {mode!r}")
     wprime = tuple(wprime)
+    wmasks = {}
 
     def cycles(k: SimpleGraph, reverse: bool = False):
-        for v in wprime:
-            check_vertex(k, v)
-        return _six_cycles(k, vertex_mask(wprime), mode, reverse)
+        wmask = wmasks.get(k.n)
+        if wmask is None:
+            wmask = wmasks[k.n] = _wprime_mask(k, wprime)
+        return _six_cycles(k, wmask, mode, reverse)
     return cycles
 
 
 def six_cycle_switches(k: SimpleGraph, wprime, mode: str,
                        reverse: bool = False) -> list:
     """Apply every qualifying six-cycle switching; returns the switched graphs."""
-    return [toggle(k, c) for c in _six_source(wprime, mode)(k, reverse)]
+    return _neighbors(k, _six_source(wprime, mode)(k, reverse))
 
 
 # -- ten-cycle switchings ----------------------------------------------------------
 
 def _ten_source(f: SimpleGraph, e, f_edge):
-    """ten cycles, f the partial graph: two length-4 paths alternating
-    (complement of K, K\\F) from e to f_edge; reverse swaps e and f_edge."""
+    """ten (cycles, can_switch), f the partial graph: two length-4 paths
+    alternating (complement of K, K\\F) from e to f_edge; reverse swaps e
+    and f_edge."""
     e, f_edge = checked_pair(f, e), checked_pair(f, f_edge)
     if f.has_edge(*e) or f.has_edge(*f_edge):
         raise ValueError("e and f must be absent from the partial graph")
     if len({*e, *f_edge}) != 4:
         raise ValueError("e and f must share no vertices")
-    return _two_path_source(lambda k: (complement(k).adj, difference(k, f).adj),
-                            e, f_edge, 4)
+    return _two_path_source(
+        lambda lo, hi: (_complement_rows(lo), [a & ~b for a, b in zip(hi, f.adj)]),
+        e, f_edge, 4)
 
 
 def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> list:
@@ -354,9 +453,9 @@ def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> lis
     (complement of K, K\\F), one from each endpoint of e to an endpoint of f;
     both endpoint pairings are admitted.
     """
-    cycles = _ten_source(f, e, f_edge)
+    cycles, _ = _ten_source(f, e, f_edge)
     _check_member(k, d, partial=f, has=("e", e), lacks=("f", f_edge))
-    return [toggle(k, c) for c in cycles(k)]
+    return _neighbors(k, cycles(k))
 
 
 # -- auxiliary bipartite graphs -----------------------------------------------------
@@ -399,48 +498,49 @@ def verify_double_count(graph: SwitchingGraph) -> dict:
     }
 
 
-def _bipartite_from_switches(kind, left_graphs, cycles, meta):
+def _bipartite_from_switches(kind, left_graphs, cycles, meta, can_switch=None):
     """Assemble a SwitchingGraph from a kind's cycle source.
 
-    cycles(K) yields the switching cycles out of a left member and
+    cycles(K) yields the flips of the switchings out of a left member and
     cycles(K', True) those out of a right member.  Members share one vertex
     count n, so each is keyed by its edge mask alone, and an output's mask
-    is its source's mask with the cycle's pair bits flipped.  A right member
-    is kept as the (left member, cycle) that first reached it, and its graph
-    is built only for its reverse enumeration.  Reverse outputs are
-    intersected with the left class so the double count is over exactly the
-    recorded edges.  An edge is the int left mask << width | right mask,
-    which sorts as the (left key, right key) pair; the keys (n, mask) are
-    made once per member at the end.
+    is its source's mask XOR the flips.  When can_switch(members) is given
+    and False, no member is walked and every left member gets degree 0.  A
+    right member's graph is built from its mask only for its reverse
+    enumeration, whose outputs are intersected with the left class so the
+    double count is over exactly the recorded edges.  The two routes agree
+    when every reverse edge is a forward one and there are as many distinct
+    reverse edges as forward ones.  An edge is the int left mask << width |
+    right mask, which sorts as the (left key, right key) pair; the keys
+    (n, mask) are made once per member at the end.
     """
     left = {g.edge_mask(): g for g in left_graphs}
     if not left:
         return SwitchingGraph(kind, [], [], [], {}, {}, True, meta)
     n = next(iter(left.values())).n
-    bit = _pair_bits(n)
     width = n * (n - 1) // 2
     low = (1 << width) - 1
     forward_edges = set()
-    left_degrees = {}
-    right_members = {}
-    for mask, g in left.items():
-        degree = 0
-        for c in cycles(g):
-            hm = _toggled_mask(bit, mask, c)
-            if hm not in right_members:
-                right_members[hm] = (g, c)
-            forward_edges.add(mask << width | hm)
-            degree += 1
-        left_degrees[mask] = degree
-    right_masks = sorted(right_members)
-    reverse_edges = set()
+    left_degrees = dict.fromkeys(left, 0)
+    right = set()
+    if can_switch is None or can_switch(left.values()):
+        for mask, g in left.items():
+            outs = [mask ^ flips for flips in cycles(g)]
+            left_degrees[mask] = len(outs)
+            right.update(outs)
+            shifted = mask << width
+            forward_edges.update([shifted | hm for hm in outs])
+    right_masks = sorted(right)
     right_degrees = {}
+    consistent = True
+    reverse_count = 0
     for hm in right_masks:
-        h = toggle(*right_members[hm])
-        inside = [bm for bm in (_toggled_mask(bit, hm, c) for c in cycles(h, True))
-                  if bm in left]
+        h = graph_from_mask(n, hm)
+        inside = [bm for bm in (hm ^ flips for flips in cycles(h, True)) if bm in left]
         right_degrees[hm] = len(inside)
-        reverse_edges.update(bm << width | hm for bm in inside)
+        edges = {bm << width | hm for bm in inside}
+        reverse_count += len(edges)
+        consistent = consistent and edges <= forward_edges
     key = {mask: (n, mask) for mask in (*left, *right_masks)}
     return SwitchingGraph(
         kind=kind,
@@ -449,7 +549,7 @@ def _bipartite_from_switches(kind, left_graphs, cycles, meta):
         edges=[(key[edge >> width], key[edge & low]) for edge in sorted(forward_edges)],
         left_degrees={key[mask]: degree for mask, degree in left_degrees.items()},
         right_degrees={key[hm]: degree for hm, degree in right_degrees.items()},
-        cross_consistent=forward_edges == reverse_edges,
+        cross_consistent=consistent and reverse_count == len(forward_edges),
         meta=meta,
     )
 
@@ -465,13 +565,13 @@ def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
 
 def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the e-but-not-f and f-but-not-e classes."""
-    cycles = _lef_source(f, e, f_edge, ell)
+    cycles, can_switch = _lef_source(f, e, f_edge, ell)
     e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
         "lef",
         [k for k in enumerate_regular(f, d)
          if k.has_edge(*e) and not k.has_edge(*f_edge)],
-        cycles, meta={"e": e, "f": f_edge, "ell": ell})
+        cycles, meta={"e": e, "f": f_edge, "ell": ell}, can_switch=can_switch)
 
 
 def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingGraph:
@@ -483,7 +583,8 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
         raise ValueError("left members must share one vertex count")
     if not all(is_regular(k, d) for k in left_members):
         raise ValueError(f"left members must be {d}-regular")
-    values = {six_cycle_statistic(k, wprime, mode) for k in left_members}
+    wmask = _wprime_mask(left_members[0], wprime) if left_members else 0
+    values = {_six_statistic(k.adj, wmask, mode) for k in left_members}
     if len(values) > 1:
         raise ValueError(f"left class mixes statistic values {sorted(values)}")
     return _bipartite_from_switches(
@@ -494,10 +595,10 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
 
 def build_ten_cycle_graph(f: SimpleGraph, d: int, e, f_edge) -> SwitchingGraph:
     """Full auxiliary graph between the extension classes of F+e and F+f."""
-    cycles = _ten_source(f, e, f_edge)
+    cycles, can_switch = _ten_source(f, e, f_edge)
     e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
         "ten",
         [k for k in enumerate_extensions(f.with_edge(*e), d)
          if not k.has_edge(*f_edge)],
-        cycles, meta={"e": e, "f": f_edge})
+        cycles, meta={"e": e, "f": f_edge}, can_switch=can_switch)

@@ -334,6 +334,18 @@ def test_fit_names_an_m_out_of_range(capsys, model, m, name, trials):
     assert f"error: m={m} out of range for the planted {name} model" in err
 
 
+def test_fit_refuses_m_before_building_laws(monkeypatch, capsys):
+    def never(params, direction):
+        raise AssertionError("closed_form_class_laws ran before m was checked")
+    monkeypatch.setattr(cli, "closed_form_class_laws", never)
+    assert main(["fit", "--n", "8", "--d", "3", "--m", "99", "--exact-ceiling", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "error: m=99 out of range for the planted supergraph model" in err
+    # above the exact ceiling the ceiling is named first
+    assert main(["fit", "--n", "9", "--d", "4", "--m", "99"]) == 2
+    assert "error: n=9 exceeds exact-analysis ceiling 6" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, name", [
     (["couple-upper", "--d", "3", "--trials", "2"], "n"),
     (["schedule-mass", "--n", "6"], "d"),
@@ -422,6 +434,30 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert main(["count", "--host", K5, "--d", "2", "--out", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
+
+
+def test_out_is_checked_before_the_run(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "report.json"
+    assert main(["count", "--host", K5, "--d", "2", "--out", str(target)]) == 0
+    assert target.read_text() == "12\n"
+    # a run refused after the check leaves no file behind, and an existing
+    # file as it was
+    refused = tmp_path / "fit.json"
+    assert main(["fit", "--n", "5", "--d", "2", "--m", "99", "--out", str(refused)]) == 2
+    assert not refused.exists()
+    target.write_text("kept")
+    assert main(["fit", "--n", "5", "--d", "2", "--m", "99", "--out", str(target)]) == 2
+    assert target.read_text() == "kept"
+    capsys.readouterr()
+
+    def never(config):
+        raise AssertionError("run_experiment ran before --out was checked")
+    monkeypatch.setattr(cli, "run_experiment", never)
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["count", "--host", K5, "--d", "2", "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}: No such file or directory")
+    assert not missing.parent.exists()
 
 
 C6 = "n=6;edges=1-2,2-3,3-4,4-5,5-6,1-6"

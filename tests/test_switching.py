@@ -6,6 +6,7 @@ import pytest
 
 from sandwichlab.graphs import (
     SimpleGraph,
+    canonical_key,
     complement,
     complete_graph,
     cycle_graph,
@@ -17,6 +18,9 @@ from sandwichlab.graphs import (
 )
 from sandwichlab.oracle import enumerate_extensions, enumerate_regular
 from sandwichlab.switching import (
+    _lef_source,
+    _ten_source,
+    alternating_paths,
     build_le_graph,
     build_lef_graph,
     build_six_cycle_graph,
@@ -33,6 +37,7 @@ from sandwichlab.switching import (
 )
 
 from _reference import (
+    brute_force_alternating_paths,
     mitm_alternating_count,
     six_cycle_switch_graphs,
     switching_graph_reference,
@@ -138,6 +143,37 @@ def test_short_paths_to_a_fixed_endpoint_match_the_join():
                                                       avoid, start_in_k)
                 nonzero += mine > 0
     assert nonzero
+
+
+def test_alternating_paths_equal_the_brute_force_in_order():
+    # the walk prunes from both ends; the paths and their order must be those
+    # of trying every sequence of interior vertices
+    rng = random.Random(37)
+    found = Counter()
+    for _ in range(16):
+        n = rng.randint(6, 8)
+        f = gnp_graph(n, rng.uniform(0.4, 0.8), rng)
+        k = gnp_graph(n, rng.uniform(0.2, 0.5), rng)
+        fk, k_edges = set(difference(f, k).edges()), set(k.edges())
+        x, y = rng.sample(range(1, n + 1), 2)
+        avoid = {v for v in range(1, n + 1) if v not in (x, y) and rng.random() < 0.2}
+        ends = [z for z in range(1, n + 1) if z != x and z not in avoid]
+        for length in range(1, 6):
+            for start_in_k in (False, True):
+                odd, even = (k_edges, fk) if start_in_k else (fk, k_edges)
+                got = list(alternating_paths(f, k, x, length, y, avoid, start_in_k))
+                assert got == brute_force_alternating_paths(n, odd, even, x, y,
+                                                            length, avoid)
+                # with no fixed end: the paths to every allowed end, in one
+                # lexicographic order
+                free = list(alternating_paths(f, k, x, length, avoid=avoid,
+                                              start_in_k=start_in_k))
+                assert free == sorted(
+                    path for z in ends
+                    for path in brute_force_alternating_paths(n, odd, even, x, z,
+                                                              length, avoid))
+                found[length] += len(got)
+    assert all(found[length] for length in range(1, 6)), found
 
 
 def _rich_host(rng, n, d, extras):
@@ -540,3 +576,58 @@ def test_builders_match_graph_keyed_reference():
             {"wprime": sorted(w), "mode": mode, "stat": value})
         assert want.edges
         _assert_same_switching_graph(build_six_cycle_graph(3, w, mode, family), want)
+
+
+def _assert_no_member_switches(got, want, members, can_switch):
+    # the family bound says no member can switch, so none is walked; the
+    # graph is still the reference's, every left member at degree 0 in order
+    assert members and not can_switch(members)
+    _assert_same_switching_graph(got, want)
+    assert list(got.left_degrees.items()) == [(canonical_key(k), 0) for k in members]
+    assert got.right == [] and got.edges == [] and verify_double_count(got)["passed"]
+
+
+def test_ten_family_with_a_spent_f_endpoint_cannot_switch():
+    # an endpoint of f with no residual degree in F+e has no K\F edge, in any
+    # member, for a path's last edge
+    for seed in range(200):
+        f, _, e, f_edge = _ten_cycle_instance(seed)
+        if any(f.degree(v) == 3 for v in f_edge):
+            break
+    else:
+        pytest.fail("no ten instance with a spent f endpoint")
+    e, f_edge = tuple(sorted(e)), tuple(sorted(f_edge))
+    members = [k for k in enumerate_extensions(f.with_edge(*e), 3)
+               if not k.has_edge(*f_edge)]
+    want = switching_graph_reference(
+        "ten", members,
+        lambda k: ten_cycle_switches(f, 3, k, e, f_edge),
+        lambda k: ten_cycle_switches(f, 3, k, f_edge, e),
+        {"e": e, "f": f_edge})
+    _assert_no_member_switches(build_ten_cycle_graph(f, 3, e, f_edge), want,
+                               members, _ten_source(f, e, f_edge)[1])
+
+
+def test_lef_family_with_a_spent_e_endpoint_cannot_switch():
+    # an endpoint of e with host degree d has no F\K edge, in any member, for
+    # a path's first edge, so neither pairing can be reached
+    rng = random.Random(38)
+    for _ in range(100):
+        k = random_regular_graph(10, 3, rng)
+        e = rng.choice(k.edges())
+        extras = rng.sample([p for p in complement(k).edges() if e[0] not in p], 10)
+        host = SimpleGraph(10, k.edges() + extras)
+        f_edge = next((p for p in extras if not set(p) & set(e)), None)
+        members = [m for m in enumerate_regular(host, 3)
+                   if f_edge and m.has_edge(*e) and not m.has_edge(*f_edge)]
+        if len(members) > 1:
+            break
+    else:
+        pytest.fail("no lef instance with a spent e endpoint")
+    want = switching_graph_reference(
+        "lef", members,
+        lambda k: switch_neighbors_lef(host, 3, k, e, f_edge, 1),
+        lambda k: switch_neighbors_lef(host, 3, k, f_edge, e, 1),
+        {"e": e, "f": f_edge, "ell": 1})
+    _assert_no_member_switches(build_lef_graph(host, 3, e, f_edge, 1), want,
+                               members, _lef_source(host, e, f_edge, 1)[1])
