@@ -54,7 +54,6 @@ from .switching import (
     build_six_cycle_graph,
     build_ten_cycle_graph,
     count_alternating,
-    six_cycle_statistic,
     verify_double_count,
     weighted_endpoint_sum,
 )
@@ -198,7 +197,6 @@ def _cmd_switchings(config):
     kind = opts["kind"]
     d = opts["d"]
     host = parse_graph_literal(opts["host"])
-    statistic = None
     if kind == "le":
         graph = build_le_graph(host, d, _parse_edge(opts["e"]), opts.get("ell", 1))
     elif kind == "lef":
@@ -209,14 +207,12 @@ def _cmd_switchings(config):
                                       _parse_edge(opts["f_edge"]))
     elif kind in ("six-two", "six-one"):
         mode = "two-in" if kind == "six-two" else "one-in"
-        wprime = _parse_vertices(opts["wprime"])
-        statistic = six_cycle_statistic(host, wprime, mode)
-        graph = build_six_cycle_graph(d, wprime, mode, [host])
+        graph = build_six_cycle_graph(d, _parse_vertices(opts["wprime"]), mode, [host])
     else:
         raise ValueError(f"unknown switching kind {kind!r}")
     report = verify_double_count(graph)
-    if statistic is not None:
-        report["statistic"] = statistic
+    if "stat" in graph.meta:
+        report["statistic"] = graph.meta["stat"]
     row = {k: report[k] for k in ("kind", "edges", "left_sum", "right_sum", "passed")}
     return {"double_count": report, "rows": [row], "columns": list(row)}, report["passed"]
 

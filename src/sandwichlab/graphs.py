@@ -240,7 +240,7 @@ def difference(f: SimpleGraph, k: SimpleGraph) -> SimpleGraph:
     """Graph with edge set E(f) \\ E(k) on the shared vertex set."""
     if f.n != k.n:
         raise ValueError(f"vertex count mismatch: {f.n} != {k.n}")
-    return SimpleGraph._from_rows(f.n, [f.adj[v] & ~k.adj[v] for v in range(f.n + 1)])
+    return SimpleGraph._from_rows(f.n, [a & ~b for a, b in zip(f.adj, k.adj)])
 
 
 def intersection(f: SimpleGraph, k: SimpleGraph) -> SimpleGraph:

@@ -1,4 +1,9 @@
-"""Exact counting and enumeration of d-regular graphs inside or around a host.
+"""Exact counting and enumeration of the d-regular graphs K between a base and a host.
+
+Every set here is one family, base inside K inside host (_family): the
+spanning subgraphs of a host (empty base), the extensions of a partial graph
+F (base F, host K_n) and the switching classes (K_d(F) with e and without f
+is base {e}, host F - f).  Its search runs over host minus base.
 
 Everything here is exact integer arithmetic.  One engine serves every
 operation: a vertex-by-vertex backtracking search that, processing vertices
@@ -42,7 +47,9 @@ from .graphs import (
     SimpleGraph,
     canonical_labeling,
     checked_pair,
-    complement,
+    complete_graph,
+    difference,
+    empty_graph,
     _pair_bits,
 )
 
@@ -280,34 +287,36 @@ def _subgraphs(root, n: int, tables):
     yield from walk(root, [])
 
 
-# -- the two families a search runs over ----------------------------------------
+# -- families: the d-regular K with base inside K inside host ------------------
 
-def _spanning(host: SimpleGraph, d: int):
-    """(searched graph, target) for the d-regular spanning subgraphs of host."""
+def _family(base: SimpleGraph, host: SimpleGraph, d: int):
+    """(searched graph, target) of the d-regular K with base inside K inside host:
+    the subgraphs S of host minus base with degrees d - deg_base, K = base + S."""
     _check_capacity(host.n)
-    return host, [0] + [d] * host.n
+    return difference(host, base), [0] + [d - row.bit_count() for row in base.adj[1:]]
 
 
-def _completions(f: SimpleGraph, d: int):
-    """(searched graph, target) for the edge sets completing f to a d-regular
-    graph: subgraphs of the complement meeting the residual degrees."""
-    _check_capacity(f.n)
-    return complement(f), [0] + [d - f.degree(v) for v in f.vertices()]
+def _spanning(host: SimpleGraph):
+    """(base, host) of the d-regular spanning subgraphs of host."""
+    return empty_graph(host.n), host
 
 
-def _count(g: SimpleGraph, target) -> int:
+def _completions(f: SimpleGraph):
+    """(base, host) of the d-regular graphs on {1..n} containing f."""
+    return f, complete_graph(f.n)
+
+
+def _count(base: SimpleGraph, host: SimpleGraph, d: int) -> int:
+    g, target = _family(base, host, d)
     return _private_search(g.adj, g.n, target)[0]
 
 
 # -- counting operations -------------------------------------------------------
 
 def count_regular_spanning_subgraphs(host: SimpleGraph, d: int) -> int:
-    """Exact number of d-regular spanning subgraphs of the host.
-
-    Returns 0 (rather than erroring) when dn is odd or no subgraph exists,
-    d outside 0..n-1 included.
-    """
-    return _count(*_spanning(host, d))
+    """Exact number of d-regular spanning subgraphs of the host: 0, not an
+    error, when dn is odd or no subgraph exists, d outside 0..n-1 included."""
+    return _count(*_spanning(host), d)
 
 
 def count_with_edge(host: SimpleGraph, d: int, e) -> int:
@@ -315,19 +324,13 @@ def count_with_edge(host: SimpleGraph, d: int, e) -> int:
     u, v = checked_pair(host, e)
     if not host.has_edge(u, v):
         raise ValueError(f"edge {u}-{v} not in host")
-    g, target = _spanning(host.without_edge(u, v), d)
-    target[u] -= 1
-    target[v] -= 1
-    return _count(g, target)
+    return _count(SimpleGraph(host.n, [(u, v)]), host, d)
 
 
 def count_extensions(f: SimpleGraph, d: int) -> int:
-    """Exact number of d-regular graphs on {1..n} containing f.
-
-    Searched directly over completions (subgraphs of the complement meeting the
-    residual degree vector); does not delegate to the complement-count dual.
-    """
-    return _count(*_completions(f, d))
+    """Exact number of d-regular graphs on {1..n} containing f, searched over
+    its completions directly (not through the complement-count dual)."""
+    return _count(*_completions(f), d)
 
 
 def count_extensions_with_edge(f: SimpleGraph, d: int, e) -> int:
@@ -340,14 +343,16 @@ def count_extensions_with_edge(f: SimpleGraph, d: int, e) -> int:
 
 # -- enumeration ---------------------------------------------------------------
 
-def _enumerate(base: SimpleGraph, g: SimpleGraph, target):
-    """Every graph base + S over the subgraphs S of g the search finds, in
-    canonical_key order.
+def _enumerate(base: SimpleGraph, host: SimpleGraph, d: int):
+    """Every d-regular K with base inside K inside host, in canonical_key order,
+    so a family inside a larger one lists its members in the larger one's order.
 
-    g shares no edge with base, so each graph is base's rows with S's edges
-    set, with no edge re-checked, and its edge mask, which orders the
-    graphs as canonical_key does, is base's mask with S's pair bits set.
+    The searched graph shares no edge with base, so each K is base's rows
+    with a found subgraph's edges set, with no edge re-checked, and its edge
+    mask, which orders the graphs as canonical_key does, is base's mask with
+    the subgraph's pair bits set.
     """
+    g, target = _family(base, host, d)
     total, root, tables = _private_search(g.adj, g.n, target)
     if not total:
         return
@@ -370,12 +375,12 @@ def _enumerate(base: SimpleGraph, g: SimpleGraph, target):
 
 def enumerate_regular(host: SimpleGraph, d: int):
     """Yield every d-regular spanning subgraph of the host, in canonical_key order."""
-    yield from _enumerate(SimpleGraph(host.n), *_spanning(host, d))
+    yield from _enumerate(*_spanning(host), d)
 
 
 def enumerate_extensions(f: SimpleGraph, d: int):
     """Yield every d-regular graph on {1..n} containing f, in canonical_key order."""
-    yield from _enumerate(f, *_completions(f, d))
+    yield from _enumerate(*_completions(f), d)
 
 
 # -- edge profiles (used by the coupling processes) ---------------------------
@@ -391,9 +396,8 @@ def _profile_entry(g: SimpleGraph, d: int, family, cache):
     """
     cache = DEFAULT_CACHE if cache is None else cache
     n = g.n
-    # the family checks the capacity before g is labeled, which is slow on
-    # a graph above it
-    searched, target = family(g, d)
+    # _family checks the capacity before g is labeled, slow above it
+    searched, target = _family(*family(g), d)
     cert, relabel = canonical_labeling(searched)
     key = (n, cert, d, family.__name__)
     entry = cache.get(key)

@@ -28,6 +28,7 @@ from .graphs import (
     canonical_pair,
     check_vertex,
     checked_pair,
+    complete_graph,
     difference,
     graph_from_mask,
     is_regular,
@@ -36,7 +37,7 @@ from .graphs import (
     _pair_bits,
     _toggled_mask,
 )
-from .oracle import enumerate_extensions, enumerate_regular
+from .oracle import _enumerate
 
 
 # -- core enumeration ---------------------------------------------------------
@@ -559,7 +560,7 @@ def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
     cycles = _le_source(f, e, ell)
     e = canonical_pair(*e)
     return _bipartite_from_switches(
-        "le", [k for k in enumerate_regular(f, d) if k.has_edge(*e)], cycles,
+        "le", _enumerate(SimpleGraph(f.n, [e]), f, d), cycles,
         meta={"e": e, "ell": ell})
 
 
@@ -568,9 +569,7 @@ def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGra
     cycles, can_switch = _lef_source(f, e, f_edge, ell)
     e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
-        "lef",
-        [k for k in enumerate_regular(f, d)
-         if k.has_edge(*e) and not k.has_edge(*f_edge)],
+        "lef", _enumerate(SimpleGraph(f.n, [e]), f.without_edge(*f_edge), d),
         cycles, meta={"e": e, "f": f_edge, "ell": ell}, can_switch=can_switch)
 
 
@@ -599,6 +598,5 @@ def build_ten_cycle_graph(f: SimpleGraph, d: int, e, f_edge) -> SwitchingGraph:
     e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
         "ten",
-        [k for k in enumerate_extensions(f.with_edge(*e), d)
-         if not k.has_edge(*f_edge)],
+        _enumerate(f.with_edge(*e), complete_graph(f.n).without_edge(*f_edge), d),
         cycles, meta={"e": e, "f": f_edge}, can_switch=can_switch)

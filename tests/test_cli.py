@@ -17,8 +17,17 @@ from sandwichlab.cli import (
     run_experiment,
 )
 from sandwichlab.coupling import ModelParams
-from sandwichlab.graphs import complete_graph, format_graph_literal, gnp_graph
-from sandwichlab.switching import count_alternating, weighted_endpoint_sum
+from sandwichlab.graphs import (
+    complete_graph,
+    format_graph_literal,
+    gnp_graph,
+    parse_graph_literal,
+)
+from sandwichlab.switching import (
+    count_alternating,
+    six_cycle_statistic,
+    weighted_endpoint_sum,
+)
 
 K5 = format_graph_literal(complete_graph(5))
 
@@ -130,6 +139,14 @@ def test_switchings_subcommand(capsys):
     report = json.loads(out)
     assert report["results"]["double_count"]["passed"] is True
     assert code == 0
+    # only the six kinds report a statistic: their left class's value
+    assert "statistic" not in report["results"]["double_count"]
+    for kind, mode, value in (("six-two", "two-in", 3), ("six-one", "one-in", 0)):
+        code, out = _run(["switchings", "--host", host, "--d", "3", "--kind", kind,
+                          "--wprime", "1,2,3"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["double_count"]["statistic"] == value
+        assert six_cycle_statistic(parse_graph_literal(host), {1, 2, 3}, mode) == value
 
 
 def test_audit_subcommand(capsys):

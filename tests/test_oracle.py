@@ -200,12 +200,15 @@ def test_profiles_equal_enumeration_tallies(host_d):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(host_d=_host_and_degree(max_n=6))
-@example(host_d=(complete_graph(6), 3))
-@example(host_d=(complete_graph(5), 3))  # odd dn
-def test_engine_matches_brute_force_subsets(host_d):
+@given(host_d=_host_and_degree(max_n=6),
+       picks=st.lists(st.integers(min_value=0), max_size=2))
+@example(host_d=(complete_graph(6), 3), picks=[0, 14])
+@example(host_d=(complete_graph(5), 3), picks=[])  # odd dn
+def test_engine_matches_brute_force_subsets(host_d, picks):
     host, d = host_d
     n = host.n
+    edges = host.edges()
+    base = SimpleGraph(n, {edges[i % len(edges)] for i in picks} if edges else ())
     spanning = brute_force_subgraphs(n, host.edges(), [0] + [d] * n)
     extra = brute_force_subgraphs(n, complement(host).edges(),
                                   [0] + [d - host.degree(v) for v in host.vertices()])
@@ -222,6 +225,10 @@ def test_engine_matches_brute_force_subsets(host_d):
         _enumerated_tally(extended, skip=set(host.edges()))
     assert list(enumerate_regular(host, d)) == regular
     assert list(enumerate_extensions(host, d)) == extended
+    # the family between a base and the host is the filtered class, in order
+    family = [k for k in regular if base.is_subgraph_of(k)]
+    assert list(oracle._enumerate(base, host, d)) == family
+    assert oracle._count(base, host, d) == len(family)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from sandwichlab import oracle
 from sandwichlab.graphs import (
     SimpleGraph,
     canonical_key,
@@ -576,6 +577,42 @@ def test_builders_match_graph_keyed_reference():
             {"wprime": sorted(w), "mode": mode, "stat": value})
         assert want.edges
         _assert_same_switching_graph(build_six_cycle_graph(3, w, mode, family), want)
+
+
+def test_builders_build_only_their_family(monkeypatch):
+    """On the reference test's instances, every subgraph the oracle yields
+    during a build is a left member: no class member is built and dropped."""
+    yielded = 0
+    subgraphs = oracle._subgraphs
+
+    def counted(*args):
+        nonlocal yielded
+        for edges in subgraphs(*args):
+            yielded += 1
+            yield edges
+    monkeypatch.setattr(oracle, "_subgraphs", counted)
+
+    def build(builder, *args):
+        nonlocal yielded
+        yielded = 0
+        graph = builder(*args)
+        assert yielded == len(graph.left)
+        return graph
+
+    host = _rich_host(random.Random(27), 8, 3, 4)
+    for ell in (1, 2):
+        for e in host.edges():
+            build(build_le_graph, host, 3, e, ell)
+    host10 = parse_graph_literal(
+        "n=10;edges=1-2,1-4,1-6,1-8,1-9,1-10,2-3,2-5,2-7,2-9,2-10,3-5,"
+        "3-8,3-9,4-7,4-8,4-9,5-6,5-7,6-7,6-8,6-10,9-10")
+    build(build_lef_graph, host10, 3, (1, 8), (2, 3), 1)
+    checked = 0
+    for seed in range(60):
+        f, _, e, f_edge = _ten_cycle_instance(seed)
+        checked += bool(build(build_ten_cycle_graph, f, 3, e, f_edge).edges)
+        if checked >= 2:
+            break
 
 
 def _assert_no_member_switches(got, want, members, can_switch):
