@@ -291,9 +291,11 @@ def _subgraphs(root, n: int, tables):
 
 def _family(base: SimpleGraph, host: SimpleGraph, d: int):
     """(searched graph, target) of the d-regular K with base inside K inside host:
-    the subgraphs S of host minus base with degrees d - deg_base, K = base + S."""
+    the subgraphs S of host minus base with degrees d - deg_base, K = base + S.
+    An edgeless base searches the host itself, uncopied."""
     _check_capacity(host.n)
-    return difference(host, base), [0] + [d - row.bit_count() for row in base.adj[1:]]
+    searched = difference(host, base) if any(base.adj) else host
+    return searched, [0] + [d - row.bit_count() for row in base.adj[1:]]
 
 
 def _spanning(host: SimpleGraph):

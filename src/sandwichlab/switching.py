@@ -9,11 +9,15 @@ regular graph to another, so it is carried as its flips: the XOR of its
 pairs' bits in edge_mask's layout (graphs._pair_bits).  The result's edge
 mask is the source's XOR the flips, so the auxiliary graphs key it without
 building it.  Each switching kind has one cycle source that checks the
-arguments not depending on K and returns cycles(k, reverse=False), which
-walks the cycles out of the left class (with reverse=True, out of the right
-one) and yields their flips.  Its neighbor list (whose length is the
-switching degree) and its auxiliary bipartite graph, which records every
-switching between the two classes for an exact double count, read it.  The
+arguments not depending on K.  The le, lef and ten sources return
+cycles(k, reverse=False), which walks the cycles out of one left member
+(with reverse=True, out of a right one) and yields their flips; the six
+walk (_six_cycles) walks a whole family at once, carrying the set of
+members still on the path.  A neighbor list (whose length is the switching
+degree) reads a source for one graph.  An auxiliary bipartite graph, which
+records every switching between the two classes for an exact double count,
+reads it as a family walk whose leaves are (flips, member indices): the
+six walk's member sets, or (flips, (i,)) for a per-member source.  The
 two-path kinds (lef, ten) also return can_switch(members), a bound that
 tells a whole family in one walk that no member can switch.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 from .graphs import (
     SimpleGraph,
@@ -32,6 +36,7 @@ from .graphs import (
     difference,
     graph_from_mask,
     is_regular,
+    pair_list,
     vertex_mask,
     _bits,
     _pair_bits,
@@ -148,9 +153,20 @@ def _check_member(k: SimpleGraph, d: int, host=None, partial=None, has=None,
 
 
 def _neighbors(k: SimpleGraph, flips) -> list:
-    """The graphs K switched by each of the given flip masks."""
-    mask = k.edge_mask()
-    return [graph_from_mask(k.n, mask ^ f) for f in flips]
+    """The graphs K switched by each of the given flip masks, each made by
+    flipping its pairs in K's rows."""
+    pairs = pair_list(k.n)
+    out = []
+    for f in flips:
+        rows = list(k.adj)
+        while f:
+            low = f & -f
+            u, v = pairs[low.bit_length() - 1]
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            f ^= low
+        out.append(SimpleGraph._from_rows(k.n, rows))
+    return out
 
 
 def _complement_rows(adj) -> list:
@@ -326,20 +342,85 @@ def six_cycle_statistic(k: SimpleGraph, wprime, mode: str) -> int:
     max(degree into the set - 1, 0).
     """
     wmask = _wprime_mask(k, wprime)
-    if mode not in ("two-in", "one-in"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_six_mode(mode)
     return _six_statistic(k.adj, wmask, mode)
 
 
-def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
-    """Yield the flips of the alternating 6-cycles (v1, ..., v6) realizing a
-    unit move of the statistic, built up one pair per loop level.
+def _check_six_mode(mode: str):
+    if mode not in ("two-in", "one-in"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _family_sets(n: int, masks) -> tuple:
+    """(full, has, lacks, has_rows, lacks_rows) of a family of distinct
+    edge masks, member i being masks[i]: has[u][w] is the member set of the
+    pair uw, the int whose bit i is set iff member i holds uw, lacks[u][w]
+    its complement within full (every member), and w is in has_rows[u]
+    (lacks_rows[u]) iff some member holds (lacks) uw.  Entries off the
+    pairs of 1..n hold 0.
+
+    The masks are transposed as text: each is written as a fixed-width bit
+    string, the strings are joined from the last member to the first, and
+    the column of pair p (one character per member, member 0 last) is read
+    with one strided slice.
+    """
+    width = n * (n - 1) // 2
+    full = (1 << len(masks)) - 1
+    text = "".join([format(mask, f"0{width}b") for mask in reversed(masks)])
+    columns = [int(text[width - 1 - p::width], 2) for p in range(width)]
+    gaps = [full ^ column for column in columns]
+    columns.append(0)
+    gaps.append(0)
+    getters = _pair_getters(n)
+    return (full, [get(columns) for get in getters], [get(gaps) for get in getters],
+            graph_from_mask(n, reduce(or_, masks)).adj,
+            _complement_rows(graph_from_mask(n, reduce(and_, masks)).adj))
+
+
+@lru_cache(maxsize=None)
+def _pair_getters(n: int) -> tuple:
+    """One itemgetter per vertex u of 0..n picking, for each w of 0..n, pair
+    uw's entry from a list of pair_list(n) entries with a trailing 0 (the
+    entry of every non-pair)."""
+    index = [[-1] * (n + 1) for _ in range(n + 1)]
+    for p, (u, w) in enumerate(pair_list(n)):
+        index[u][w] = index[w][u] = p
+    return tuple(itemgetter(*row) for row in index)
+
+
+def _graph_sets(k: SimpleGraph) -> tuple:
+    """_family_sets(k.n, [k.edge_mask()]), the family of K alone, read off
+    K's rows without transposing a mask."""
+    non = _complement_rows(k.adj)
+    return (1, [_row_bits(row, k.n) for row in k.adj],
+            [_row_bits(row, k.n) for row in non], k.adj, non)
+
+
+@lru_cache(maxsize=1 << 16)
+def _row_bits(row: int, n: int) -> tuple:
+    """The bits 0..n of row, each as 0 or 1."""
+    return tuple((row >> w) & 1 for w in range(n + 1))
+
+
+def _six_cycles(n: int, wmask: int, mode: str, sets, reverse: bool):
+    """Yield (flips, members) for the alternating 6-cycles (v1, ..., v6)
+    realizing a unit move of the statistic in some member of a family, from
+    its sets (_family_sets, or _graph_sets for one graph): members is the
+    cycle's member set, bit i set iff the cycle is a switching of member i.
+    The cycle is built up one pair per loop level, walked once for the
+    whole family.
 
     v1v2, v3v4 and v5v6 are in `first` and v2v3, v4v5 and v6v1 in `second`.
     Forward cycles take `first` from K, so flipping them removes three
     K-edges, adds three non-edges and lowers the statistic by exactly 1;
     reverse=True takes `first` from the non-edges, the mirror cycles that
     raise it by exactly 1 (the same relation seen from the other class).
+    Each level ANDs in the member set of its pair (`has`, or its
+    complement `lacks` for a non-edge) and drops the branch once no member
+    is left; the one-in W'-degree bounds on v2 (at least 2 forward, 1
+    reverse) and v6 (at most 0 forward, 1 reverse) are member sets per
+    vertex too.  Candidates come from the union rows: w is in first_rows[v]
+    (second_rows[v]) iff vw is in `first` (`second`) for some member.
 
     Each cycle is met once.  In two-in mode v1 and v2 are its only W'
     vertices and v1v2 is a `first` edge, so the walk from (v2, v1) in the
@@ -348,86 +429,104 @@ def _six_cycles(k: SimpleGraph, wmask: int, mode: str, reverse: bool):
     the one cycle edge at v1 that is in `first`, so the start is already
     unique.
 
-    The walk is pruned from its closing end: for each v1 the vertices v6 may
-    take (in second[v1], outside W', and in one-in mode within the W'-degree
-    bound) give reach5, every vertex with a `first` edge to one of them, and
-    reach4, every vertex with a `second` edge into reach5.  The rows are
-    symmetric, so v5 and v4 outside these masks could not close the cycle;
-    the masks drop only such branches, and the cycles come in the same order
-    as from the unpruned walk.
+    The walk is pruned from its closing end, over the union rows: for each
+    v1 the vertices v6 may take (in second_rows[v1], outside W', and in
+    one-in mode within the W'-degree bound for some member) give reach5,
+    every vertex with a `first` row into one of them, and reach4, every
+    vertex with a `second` row into reach5.  The rows are symmetric, so v5
+    and v4 outside these masks could not close the cycle in any member; the
+    masks drop only such branches.  A family of one visits exactly the
+    nodes of its own walk, and the cycles come in the same order as from
+    the unpruned walk.
     """
-    adj = k.adj
-    bit = _pair_bits(k.n)
-    non = _complement_rows(adj)
-    first, second = (adj, non) if not reverse else (non, adj)
-    outside = ((1 << (k.n + 1)) - 2) & ~wmask
+    bit = _pair_bits(n)
+    full, has, lacks, has_rows, lacks_rows = sets
+    first, second = (lacks, has) if reverse else (has, lacks)
+    first_rows, second_rows = (lacks_rows, has_rows) if reverse else (has_rows, lacks_rows)
+    outside = ((1 << (n + 1)) - 2) & ~wmask
+    start = end = [full] * (n + 1)
     if mode == "two-in":
         ends = outside
     else:
-        # one-in bounds on the W'-degrees of v2 (at least 2 forward, 1
-        # reverse) and v6 (at most 0 forward, 1 reverse)
-        once = twice = 0
-        for w in _bits(wmask):
-            twice |= once & adj[w]
-            once |= adj[w]
-        starts = outside & (once if reverse else twice)
-        ends = outside & ~(twice if reverse else once)
+        once = [0] * (n + 1)
+        twice = [0] * (n + 1)
+        for x in _bits(outside):
+            hx = has[x]
+            for w in _bits(wmask):
+                twice[x] |= once[x] & hx[w]
+                once[x] |= hx[w]
+        start = once if reverse else twice
+        end = [full ^ s for s in (twice if reverse else once)]
+        starts = ends = 0
+        for x in _bits(outside):
+            if start[x]:
+                starts |= 1 << x
+            if end[x]:
+                ends |= 1 << x
+    close = [0] * (n + 1)
     for v1 in _bits(wmask):
         if mode == "two-in":
-            v2s = _bits(first[v1] & wmask & (-1 << (v1 + 1)))
+            v2s = _bits(first_rows[v1] & wmask & (-1 << (v1 + 1)))
         else:
-            v2s = _bits(first[v1] & starts)
-        ends6 = second[v1] & ends
+            v2s = _bits(first_rows[v1] & starts)
+        ends6 = second_rows[v1] & ends
         if not (v2s and ends6):
             continue
         reach5 = 0
+        second1 = second[v1]
         for v6 in _bits(ends6):
-            reach5 |= first[v6]
+            reach5 |= first_rows[v6]
+            close[v6] = second1[v6] & end[v6]
         reach5 &= outside
         reach4 = 0
         for v5 in _bits(reach5):
-            reach4 |= second[v5]
+            reach4 |= second_rows[v5]
         reach4 &= outside
         bit1 = bit[v1]
+        first1 = first[v1]
         for v2 in v2s:
+            in2 = first1[v2] & start[v2]
+            if not in2:
+                continue
             used12 = (1 << v1) | (1 << v2)
             bit2 = bit[v2]
+            second2 = second[v2]
             flips2 = bit1[v2]
-            for v3 in _bits(second[v2] & outside & ~used12):
+            for v3 in _bits(second_rows[v2] & outside & ~used12):
+                in3 = in2 & second2[v3]
+                if not in3:
+                    continue
                 used3 = used12 | (1 << v3)
                 bit3 = bit[v3]
+                first3 = first[v3]
                 flips3 = flips2 ^ bit2[v3]
-                for v4 in _bits(first[v3] & reach4 & ~used3):
+                for v4 in _bits(first_rows[v3] & reach4 & ~used3):
+                    in4 = in3 & first3[v4]
+                    if not in4:
+                        continue
                     used4 = used3 | (1 << v4)
                     bit4 = bit[v4]
+                    second4 = second[v4]
                     flips4 = flips3 ^ bit3[v4]
-                    for v5 in _bits(second[v4] & reach5 & ~used4):
+                    for v5 in _bits(second_rows[v4] & reach5 & ~used4):
+                        in5 = in4 & second4[v5]
+                        if not in5:
+                            continue
                         bit5 = bit[v5]
+                        first5 = first[v5]
                         flips5 = flips4 ^ bit4[v5]
-                        for v6 in _bits(first[v5] & ends6 & ~(used4 | (1 << v5))):
-                            yield flips5 ^ bit5[v6] ^ bit1[v6]
-
-
-def _six_source(wprime, mode: str):
-    """six-cycle cycles, walked by _six_cycles; with no host, W' is checked
-    against each vertex count it meets, once."""
-    if mode not in ("two-in", "one-in"):
-        raise ValueError(f"unknown mode {mode!r}")
-    wprime = tuple(wprime)
-    wmasks = {}
-
-    def cycles(k: SimpleGraph, reverse: bool = False):
-        wmask = wmasks.get(k.n)
-        if wmask is None:
-            wmask = wmasks[k.n] = _wprime_mask(k, wprime)
-        return _six_cycles(k, wmask, mode, reverse)
-    return cycles
+                        for v6 in _bits(first_rows[v5] & ends6 & ~(used4 | (1 << v5))):
+                            in6 = in5 & first5[v6] & close[v6]
+                            if in6:
+                                yield flips5 ^ bit5[v6] ^ bit1[v6], in6
 
 
 def six_cycle_switches(k: SimpleGraph, wprime, mode: str,
                        reverse: bool = False) -> list:
     """Apply every qualifying six-cycle switching; returns the switched graphs."""
-    return _neighbors(k, _six_source(wprime, mode)(k, reverse))
+    _check_six_mode(mode)
+    cycles = _six_cycles(k.n, _wprime_mask(k, wprime), mode, _graph_sets(k), reverse)
+    return _neighbors(k, [flips for flips, _ in cycles])
 
 
 # -- ten-cycle switchings ----------------------------------------------------------
@@ -499,21 +598,52 @@ def verify_double_count(graph: SwitchingGraph) -> dict:
     }
 
 
-def _bipartite_from_switches(kind, left_graphs, cycles, meta, can_switch=None):
-    """Assemble a SwitchingGraph from a kind's cycle source.
+def _member_indices(members: int) -> list:
+    """The set bits of a member set, descending (read off its binary text)."""
+    text = bin(members)
+    top = len(text) - 1
+    out = []
+    i = text.find("1")
+    while i >= 0:
+        out.append(top - i)
+        i = text.find("1", i + 1)
+    return out
 
-    cycles(K) yields the flips of the switchings out of a left member and
-    cycles(K', True) those out of a right member.  Members share one vertex
-    count n, so each is keyed by its edge mask alone, and an output's mask
-    is its source's mask XOR the flips.  When can_switch(members) is given
-    and False, no member is walked and every left member gets degree 0.  A
-    right member's graph is built from its mask only for its reverse
-    enumeration, whose outputs are intersected with the left class so the
-    double count is over exactly the recorded edges.  The two routes agree
-    when every reverse edge is a forward one and there are as many distinct
-    reverse edges as forward ones.  An edge is the int left mask << width |
-    right mask, which sorts as the (left key, right key) pair; the keys
-    (n, mask) are made once per member at the end.
+
+def _each_member(cycles):
+    """The family walk that walks each member on its own: cycles(K, reverse)
+    yields the flips of the switchings out of K, and member i's leaves are
+    (flips, (i,))."""
+    def walk(n, masks, graphs, reverse=False):
+        for i, k in enumerate(graphs):
+            for flips in cycles(k, reverse):
+                yield flips, (i,)
+    return walk
+
+
+def _bipartite_from_switches(kind, left_graphs, walk, meta, can_switch=None):
+    """Assemble a SwitchingGraph from a kind's family walk.
+
+    walk(n, masks, graphs) walks the switchings out of a family of distinct
+    members, numbered in ascending edge-mask order (masks, with their
+    graphs, an iterable the walk may leave unread), and walk(n, masks,
+    graphs, True) those out of a right family.  It yields one leaf per
+    cycle: (flips, member indices), the members the cycle switches.  The
+    six kind walks each family once; le, lef and ten walk one member at a
+    time (_each_member).  Members share one vertex count n, so each is
+    keyed by its edge mask alone, and an output's mask is its source's mask
+    XOR the flips.  When can_switch(members) is given and False, no member
+    is walked and every left member gets degree 0.
+
+    A left member's degree is the number of cycles walked out of it.  The
+    forward edges go into one set, sorted once; the right members are
+    their distinct outputs, whose graphs are built from their masks only
+    for per-member reverse walks.  Reverse outputs are intersected with the
+    left class, so the double count is over exactly the recorded edges.
+    The two routes agree when the distinct reverse edges are the forward
+    ones: every reverse edge is a forward one, and there are as many.  An edge is the int
+    left mask << width | right mask, which sorts as the (left key, right
+    key) pair; the keys (n, mask) are made once per member at the end.
     """
     left = {g.edge_mask(): g for g in left_graphs}
     if not left:
@@ -521,36 +651,39 @@ def _bipartite_from_switches(kind, left_graphs, cycles, meta, can_switch=None):
     n = next(iter(left.values())).n
     width = n * (n - 1) // 2
     low = (1 << width) - 1
-    forward_edges = set()
+    left_masks = sorted(left)
     left_degrees = dict.fromkeys(left, 0)
-    right = set()
+    forward_edges = set()
     if can_switch is None or can_switch(left.values()):
-        for mask, g in left.items():
-            outs = [mask ^ flips for flips in cycles(g)]
-            left_degrees[mask] = len(outs)
-            right.update(outs)
-            shifted = mask << width
-            forward_edges.update([shifted | hm for hm in outs])
-    right_masks = sorted(right)
-    right_degrees = {}
-    consistent = True
-    reverse_count = 0
-    for hm in right_masks:
-        h = graph_from_mask(n, hm)
-        inside = [bm for bm in (hm ^ flips for flips in cycles(h, True)) if bm in left]
-        right_degrees[hm] = len(inside)
-        edges = {bm << width | hm for bm in inside}
-        reverse_count += len(edges)
-        consistent = consistent and edges <= forward_edges
-    key = {mask: (n, mask) for mask in (*left, *right_masks)}
+        graphs = (left[mask] for mask in left_masks)
+        for flips, members in walk(n, left_masks, graphs):
+            for i in members:
+                mask = left_masks[i]
+                left_degrees[mask] += 1
+                forward_edges.add(mask << width | mask ^ flips)
+    right_masks = sorted({edge & low for edge in forward_edges})
+    right_degrees = [0] * len(right_masks)
+    reverse = set()
+    if right_masks:
+        graphs = (graph_from_mask(n, hm) for hm in right_masks)
+        for flips, members in walk(n, right_masks, graphs, True):
+            for j in members:
+                hm = right_masks[j]
+                bm = hm ^ flips
+                if bm in left:
+                    right_degrees[j] += 1
+                    reverse.add(bm << width | hm)
+    consistent = reverse == forward_edges
+    del reverse  # freed before the edge keys are built
+    key = {mask: (n, mask) for mask in (*left_masks, *right_masks)}
     return SwitchingGraph(
         kind=kind,
-        left=[key[mask] for mask in sorted(left)],
+        left=[key[mask] for mask in left_masks],
         right=[key[hm] for hm in right_masks],
         edges=[(key[edge >> width], key[edge & low]) for edge in sorted(forward_edges)],
         left_degrees={key[mask]: degree for mask, degree in left_degrees.items()},
-        right_degrees={key[hm]: degree for hm, degree in right_degrees.items()},
-        cross_consistent=consistent and reverse_count == len(forward_edges),
+        right_degrees={key[hm]: degree for hm, degree in zip(right_masks, right_degrees)},
+        cross_consistent=consistent,
         meta=meta,
     )
 
@@ -560,7 +693,7 @@ def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
     cycles = _le_source(f, e, ell)
     e = canonical_pair(*e)
     return _bipartite_from_switches(
-        "le", _enumerate(SimpleGraph(f.n, [e]), f, d), cycles,
+        "le", _enumerate(SimpleGraph(f.n, [e]), f, d), _each_member(cycles),
         meta={"e": e, "ell": ell})
 
 
@@ -570,13 +703,13 @@ def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGra
     e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
         "lef", _enumerate(SimpleGraph(f.n, [e]), f.without_edge(*f_edge), d),
-        cycles, meta={"e": e, "f": f_edge, "ell": ell}, can_switch=can_switch)
+        _each_member(cycles), meta={"e": e, "f": f_edge, "ell": ell}, can_switch=can_switch)
 
 
 def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingGraph:
     """Auxiliary graph out of a family of regular graphs sharing one statistic
     value, with edges the unit-decreasing six-cycle switchings."""
-    cycles = _six_source(wprime, mode)
+    _check_six_mode(mode)
     left_members = list(left_members)
     if len({k.n for k in left_members}) > 1:
         raise ValueError("left members must share one vertex count")
@@ -586,8 +719,13 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
     values = {_six_statistic(k.adj, wmask, mode) for k in left_members}
     if len(values) > 1:
         raise ValueError(f"left class mixes statistic values {sorted(values)}")
+
+    def walk(n, masks, graphs, reverse=False):
+        sets = _family_sets(n, masks)
+        for flips, members in _six_cycles(n, wmask, mode, sets, reverse):
+            yield flips, _member_indices(members)
     return _bipartite_from_switches(
-        f"six-{mode}", left_members, cycles,
+        f"six-{mode}", left_members, walk,
         meta={"wprime": sorted(set(wprime)), "mode": mode,
               "stat": values.pop() if values else None})
 
@@ -599,4 +737,4 @@ def build_ten_cycle_graph(f: SimpleGraph, d: int, e, f_edge) -> SwitchingGraph:
     return _bipartite_from_switches(
         "ten",
         _enumerate(f.with_edge(*e), complete_graph(f.n).without_edge(*f_edge), d),
-        cycles, meta={"e": e, "f": f_edge}, can_switch=can_switch)
+        _each_member(cycles), meta={"e": e, "f": f_edge}, can_switch=can_switch)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from sandwichlab import oracle
+from sandwichlab import oracle, switching
 from sandwichlab.graphs import (
     SimpleGraph,
     canonical_key,
@@ -668,3 +668,99 @@ def test_lef_family_with_a_spent_e_endpoint_cannot_switch():
         {"e": e, "f": f_edge, "ell": 1})
     _assert_no_member_switches(build_lef_graph(host, 3, e, f_edge, 1), want,
                                members, _lef_source(host, e, f_edge, 1)[1])
+
+
+def test_six_cycle_double_counts_that_switch():
+    """Families with switchings in both modes, beside the n=6 |W'|=3 case
+    (where neither mode has any)."""
+    members6 = list(enumerate_regular(complete_graph(6), 3))
+    family = [k for k in members6 if six_cycle_statistic(k, {1, 2}, "two-in") == 1]
+    report = verify_double_count(build_six_cycle_graph(3, {1, 2}, "two-in", family))
+    assert (len(family), report["edges"]) == (42, 96) and report["passed"], report
+    members8 = list(enumerate_regular(complete_graph(8), 3))
+    w = {1, 4, 6}
+    for mode in ("two-in", "one-in"):
+        stats = {}
+        for k in members8:
+            stats.setdefault(six_cycle_statistic(k, w, mode), []).append(k)
+        value = max((v for v in stats if v > 0), key=lambda v: len(stats[v]))
+        report = verify_double_count(build_six_cycle_graph(3, w, mode, stats[value]))
+        assert report["edges"] > 0 and report["passed"], report
+
+
+def test_six_builder_matches_the_tuple_enumeration():
+    """build_six_cycle_graph against switching_graph_reference fed the
+    brute-force six-cycle switchings, not the package's six walk."""
+    def reference(family, w, mode, value):
+        def switched(reverse):
+            return lambda k: [SimpleGraph._from_rows(k.n, rows) for rows in
+                              six_cycle_switch_graphs(k, w, mode, reverse)]
+        return switching_graph_reference(
+            f"six-{mode}", family, switched(False), switched(True),
+            {"wprime": sorted(w), "mode": mode, "stat": value})
+
+    cases = []
+    members6 = list(enumerate_regular(complete_graph(6), 3))
+    cases.append(({1, 2}, "two-in", members6))
+    rng = random.Random(41)
+    members8 = list(enumerate_regular(complete_graph(8), 3))
+    for mode, size in (("two-in", 4), ("one-in", 3)):
+        cases.append((set(rng.sample(range(1, 9), size)), mode,
+                      rng.sample(members8, 150)))
+    checked = 0
+    for w, mode, pool in cases:
+        stats = {}
+        for k in pool:
+            stats.setdefault(six_cycle_statistic(k, w, mode), []).append(k)
+        value, family = max(((v, f) for v, f in stats.items() if v > 0),
+                            key=lambda vf: len(vf[1]))
+        if pool is not members6:
+            family = family[:rng.randint(5, 8)]
+        for fam in (family, family[:1], family[:2] + family[:1])[:3 if checked < 2 else 1]:
+            want = reference(fam, w, mode, value)
+            _assert_same_switching_graph(build_six_cycle_graph(3, w, mode, fam), want)
+            checked += bool(want.edges)
+    assert checked >= 4
+
+
+def test_assembler_counts_walked_cycles():
+    """A member that walks one cycle twice, or a reverse pass that drops an
+    edge, fails the double count."""
+    w = {1, 2}
+    family = [k for k in enumerate_regular(complete_graph(6), 3)
+              if six_cycle_statistic(k, w, "two-in") == 1]
+    good = switching._bipartite_from_switches(
+        "six", family, _six_walk(w, "two-in"), {})
+    assert verify_double_count(good)["passed"] and good.edges
+
+    def doubled(n, masks, graphs, reverse=False):
+        leaves = list(_six_walk(w, "two-in")(n, masks, graphs, reverse))
+        return leaves + ([] if reverse else leaves[:1])
+
+    def dropped(n, masks, graphs, reverse=False):
+        leaves = list(_six_walk(w, "two-in")(n, masks, graphs, reverse))
+        if reverse:
+            flips, members = leaves[0]
+            leaves[0] = (flips, list(members)[1:])
+        return leaves
+
+    for walk in (doubled, dropped):
+        graph = switching._bipartite_from_switches("six", family, walk, {})
+        assert not verify_double_count(graph)["passed"]
+
+
+def _six_walk(w, mode):
+    wmask = sum(1 << v for v in w)
+
+    def walk(n, masks, graphs, reverse=False):
+        sets = switching._family_sets(n, masks)
+        for flips, members in switching._six_cycles(n, wmask, mode, sets, reverse):
+            yield flips, switching._member_indices(members)
+    return walk
+
+
+def test_graph_sets_equal_a_family_of_one():
+    rng = random.Random(42)
+    for n in (6, 8, 11):
+        k = random_regular_graph(n, 3 if n % 2 == 0 else 4, rng)
+        assert switching._graph_sets(k) == switching._family_sets(n, [k.edge_mask()])
