@@ -197,6 +197,12 @@ def _cmd_switchings(config):
     kind = opts["kind"]
     d = opts["d"]
     host = parse_graph_literal(opts["host"])
+    # an option the kind does not read must stay unset
+    unread = {"e": ("six-two", "six-one"), "f_edge": ("le", "six-two", "six-one"),
+              "wprime": ("le", "lef", "ten")}
+    for name, kinds in unread.items():
+        if kind in kinds and opts.get(name):
+            raise ValueError(f"{name} is not read by kind {kind!r}")
     if kind == "le":
         graph = build_le_graph(host, d, _parse_edge(opts["e"]), opts.get("ell", 1))
     elif kind == "lef":

@@ -8,18 +8,18 @@ edges of K and non-edges.  Applying it flips every pair, carrying one
 regular graph to another, so it is carried as its flips: the XOR of its
 pairs' bits in edge_mask's layout (graphs._pair_bits).  The result's edge
 mask is the source's XOR the flips, so the auxiliary graphs key it without
-building it.  Each switching kind has one cycle source that checks the
-arguments not depending on K.  The le, lef and ten sources return
-cycles(k, reverse=False), which walks the cycles out of one left member
-(with reverse=True, out of a right one) and yields their flips; the six
-walk (_six_cycles) walks a whole family at once, carrying the set of
-members still on the path.  A neighbor list (whose length is the switching
-degree) reads a source for one graph.  An auxiliary bipartite graph, which
-records every switching between the two classes for an exact double count,
-reads it as a family walk whose leaves are (flips, member indices): the
-six walk's member sets, or (flips, (i,)) for a per-member source.  The
-two-path kinds (lef, ten) also return can_switch(members), a bound that
-tells a whole family in one walk that no member can switch.
+building it.
+
+Every walk reads a family of graphs at once through its member-set tables
+(_family_sets, or _graph_sets for one graph): each pair carries the set of
+members holding it, and a branch stops once no member is left on it.  Each
+switching kind has one cycle source that checks the arguments not depending
+on K and returns cycles(n, sets, reverse=False), which walks the cycles out
+of a left family (with reverse=True, out of a right one) and yields
+(flips, member set).  A neighbor list (whose length is the switching
+degree) reads it over K alone; an auxiliary bipartite graph, which records
+every switching between the two classes for an exact double count, reads
+it once over each class.
 """
 from __future__ import annotations
 
@@ -47,22 +47,28 @@ from .oracle import _enumerate
 
 # -- core enumeration ---------------------------------------------------------
 
-def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
-    """Yield the vertex tuples of the simple alternating paths of `length`
-    edges from x, in lexicographic order.
+def _alt_paths(odd, even, x, length, y, avoid_mask, members):
+    """Yield (path, member set) for the simple alternating paths of `length`
+    edges from x, the vertex tuples in lexicographic order.
 
-    Edge j uses odd_rows for odd j and even_rows for even j.  Intermediate
-    vertices avoid avoid_mask; the final vertex must be y when y is given,
-    otherwise it is any vertex outside avoid_mask.  The rows must be
-    symmetric (w in rows[v] iff v in rows[w]).  With y given the walk is
-    pruned from both ends: y is kept out of the intermediate vertices, and
-    the vertex reached by edge j must lie in the backward reach of y, the
-    intermediate vertices from which edges j+1, ..., length can lead to y
-    (repeats allowed).  Level length-1 is y's own row of the last edge's
-    set and each earlier level is the union of the next one's rows, so the
-    masks drop only branches that cannot end at y, and the paths come in
-    the same order as from the unpruned walk.
+    odd and even are (rows, sets) of two edge sets over a family: w is in
+    rows[v] iff vw is in the set for some member, and sets[v][w] is the set
+    of members for which it is (entries off the rows are never read).  Edge
+    j uses odd for odd j and even for even j.  A path's member set is
+    `members` ANDed with the sets of its pairs, and a branch stops once it
+    is empty.  Intermediate vertices avoid avoid_mask; the final vertex must
+    be y when y is given, otherwise it is any vertex outside avoid_mask.
+    The rows must be symmetric (w in rows[v] iff v in rows[w]).  With y
+    given the walk is pruned from both ends: y is kept out of the
+    intermediate vertices, and the vertex reached by edge j must lie in the
+    backward reach of y, the intermediate vertices from which edges j+1,
+    ..., length can lead to y (repeats allowed).  Level length-1 is y's own
+    row of the last edge's set and each earlier level is the union of the
+    next one's rows, so the masks drop only branches that cannot end at y
+    in any member, and the paths come in the same order as from the
+    unpruned walk.
     """
+    odd_rows, even_rows = odd[0], even[0]
     path = [x]
     # allowed[j]: where the vertex reached by edge j may lie, besides unvisited
     allowed = [~avoid_mask] * (length + 1)
@@ -78,17 +84,21 @@ def _alt_paths(odd_rows, even_rows, x, length, y, avoid_mask):
             if not back:
                 return
 
-    def rec(v, visited, j):
-        row = odd_rows[v] if j & 1 else even_rows[v]
-        for w in _bits(row & ~visited & allowed[j]):
+    def rec(v, visited, j, members):
+        rows, sets = odd if j & 1 else even
+        row_sets = sets[v]
+        for w in _bits(rows[v] & ~visited & allowed[j]):
+            inner = members & row_sets[w]
+            if not inner:
+                continue
             path.append(w)
             if j == length:
-                yield tuple(path)
+                yield tuple(path), inner
             else:
-                yield from rec(w, visited | (1 << w), j + 1)
+                yield from rec(w, visited | (1 << w), j + 1, inner)
             path.pop()
 
-    yield from rec(x, 1 << x, 1)
+    yield from rec(x, 1 << x, 1, members)
 
 
 def alternating_paths(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
@@ -113,9 +123,11 @@ def alternating_paths(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
             raise ValueError("endpoints must be distinct")
         if avoid_mask & ((1 << x) | (1 << y)):
             raise ValueError("avoid set must not contain the endpoints")
-    fk = difference(f, k)
-    first, second = (k.adj, fk.adj) if start_in_k else (fk.adj, k.adj)
-    return _alt_paths(first, second, x, length, y, avoid_mask)
+    sets = _graph_sets(k)
+    fk, kk = _fk_and_k(f, sets)
+    first, second = (kk, fk) if start_in_k else (fk, kk)
+    return (path for path, _ in
+            _alt_paths(first, second, x, length, y, avoid_mask, sets[0]))
 
 
 def count_alternating(f: SimpleGraph, k: SimpleGraph, x: int, length: int,
@@ -152,12 +164,13 @@ def _check_member(k: SimpleGraph, d: int, host=None, partial=None, has=None,
         raise ValueError("K must be d-regular")
 
 
-def _neighbors(k: SimpleGraph, flips) -> list:
-    """The graphs K switched by each of the given flip masks, each made by
-    flipping its pairs in K's rows."""
+def _neighbors(k: SimpleGraph, cycles, reverse: bool = False) -> list:
+    """The graphs K switched by each cycle of cycles(n, sets, reverse) read
+    over K alone (_graph_sets), each made by flipping its pairs in K's
+    rows."""
     pairs = pair_list(k.n)
     out = []
-    for f in flips:
+    for f, _ in cycles(k.n, _graph_sets(k), reverse):
         rows = list(k.adj)
         while f:
             low = f & -f
@@ -181,60 +194,52 @@ def _others(n: int) -> tuple:
     return (0, *(full & ~(1 << v) for v in range(1, n + 1)))
 
 
-def _two_path_cycles(odd_rows, even_rows, ends, length: int, bit):
-    """Yield the flips of the two-path cycles through the pairs
-    ends = ((u1, u2), (v1, v2)) over the given rows.
+def _fk_and_k(f: SimpleGraph, sets) -> tuple:
+    """(rows, sets) of F\\K and of K over a family's tables."""
+    _, has, lacks, has_rows, lacks_rows = sets
+    return ([a & b for a, b in zip(f.adj, lacks_rows)], lacks), (has_rows, has)
+
+
+def _two_path_cycles(odd, even, ends, length: int, members: int, bit):
+    """Yield (flips, member set) for the two-path cycles through the pairs
+    ends = ((u1, u2), (v1, v2)) over the given (rows, sets) (_alt_paths).
 
     For each pairing (w1, w2) of v1, v2 the first halves (u1 to w1, avoiding
     u2 and w2) and the second halves (u2 to w2, avoiding u1 and w1) are each
-    walked once, and every vertex-disjoint pair is joined: the cycle runs
-    out along the first half, across w1w2, back along the second and across
-    u2u1.  The first halves come in walk order and, for each, the second
-    halves disjoint from it in walk order, as if the second half were walked
-    avoiding the first.
+    walked once, and every vertex-disjoint pair sharing a member is joined:
+    the cycle runs out along the first half, across w1w2, back along the
+    second and across u2u1, and its member set is the halves' common one.
+    The first halves come in walk order and, for each, the second halves
+    joined to it in walk order, as if the second half were walked avoiding
+    the first.
     """
     (u1, u2), (v1, v2) = ends
     for w1, w2 in ((v1, v2), (v2, v1)):
-        firsts = list(_alt_paths(odd_rows, even_rows, u1, length, w1,
-                                 (1 << u2) | (1 << w2)))
+        firsts = list(_alt_paths(odd, even, u1, length, w1,
+                                 (1 << u2) | (1 << w2), members))
         if not firsts:
             continue
-        seconds = [(vertex_mask(p2), p2[::-1]) for p2 in
-                   _alt_paths(odd_rows, even_rows, u2, length, w2,
-                              (1 << u1) | (1 << w1))]
-        for p1 in firsts:
+        seconds = [(vertex_mask(p2), p2[::-1], in2) for p2, in2 in
+                   _alt_paths(odd, even, u2, length, w2,
+                              (1 << u1) | (1 << w1), members)]
+        for p1, in1 in firsts:
             mask1 = vertex_mask(p1)
-            for mask2, p2 in seconds:
-                if not mask1 & mask2:
-                    yield _toggled_mask(bit, 0, p1 + p2)
+            for mask2, p2, in2 in seconds:
+                both = in1 & in2
+                if both and not mask1 & mask2:
+                    yield _toggled_mask(bit, 0, p1 + p2), both
 
 
-def _two_path_source(rows, e, f_edge, length: int):
-    """(cycles, can_switch) of the switchings through e and f_edge made of
-    two vertex-disjoint paths, one from each endpoint of e to an endpoint of
+def _two_path_source(halves, e, f_edge, length: int):
+    """cycles of the switchings through e and f_edge made of two
+    vertex-disjoint paths, one from each endpoint of e to an endpoint of
     f_edge (both pairings admitted); reverse swaps e and f_edge.  Each path
-    has `length` edges alternating the row lists (odd_rows, even_rows) =
-    rows(lo, hi), added to K and removed from it (_two_path_cycles).
-
-    rows(lo, hi) is written for any K whose rows lie between lo and hi, each
-    of its row lists growing with hi and shrinking with lo; lo = hi = K.adj
-    gives K's own.  can_switch(members) is False only when no member has a
-    cycle out of the left class: with lo and hi the AND and the OR of the
-    members' rows, every member's paths are paths of rows(lo, hi), which is
-    walked once in their place.
-    """
-    def cycles(k: SimpleGraph, reverse: bool = False):
+    has `length` edges alternating the (rows, sets) pairs (odd, even) =
+    halves(sets), added to K and removed from it (_two_path_cycles)."""
+    def cycles(n: int, sets, reverse: bool = False):
         ends = (f_edge, e) if reverse else (e, f_edge)
-        return _two_path_cycles(*rows(k.adj, k.adj), ends, length, _pair_bits(k.n))
-
-    def can_switch(members) -> bool:
-        columns = list(zip(*(k.adj for k in members)))
-        lo = [reduce(and_, column) for column in columns]
-        hi = [reduce(or_, column) for column in columns]
-        found = _two_path_cycles(*rows(lo, hi), (e, f_edge), length,
-                                 _pair_bits(len(columns) - 1))
-        return next(found, None) is not None
-    return cycles, can_switch
+        return _two_path_cycles(*halves(sets), ends, length, sets[0], _pair_bits(n))
+    return cycles
 
 
 def _le_source(f: SimpleGraph, e, ell: int):
@@ -248,11 +253,11 @@ def _le_source(f: SimpleGraph, e, ell: int):
     length = 2 * ell + 1
     bit = _pair_bits(f.n)
 
-    def cycles(k: SimpleGraph, reverse: bool = False):
-        fk = [a & ~b for a, b in zip(f.adj, k.adj)]
-        odd, even = (k.adj, fk) if reverse else (fk, k.adj)
-        return (_toggled_mask(bit, 0, c)
-                for c in _alt_paths(odd, even, u, length, v, 0))
+    def cycles(n: int, sets, reverse: bool = False):
+        fk, kk = _fk_and_k(f, sets)
+        odd, even = (kk, fk) if reverse else (fk, kk)
+        for path, members in _alt_paths(odd, even, u, length, v, 0, sets[0]):
+            yield _toggled_mask(bit, 0, path), members
     return cycles
 
 
@@ -265,7 +270,7 @@ def switch_neighbors_le(f: SimpleGraph, d: int, k: SimpleGraph, e, ell: int) -> 
     """
     cycles = _le_source(f, e, ell)
     _check_member(k, d, host=f, has=("e", e))
-    return _neighbors(k, cycles(k))
+    return _neighbors(k, cycles)
 
 
 def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
@@ -274,12 +279,12 @@ def switch_neighbors_le_absent(f: SimpleGraph, d: int, k: SimpleGraph, e,
     e in E(K') whose symmetric difference with K is one (2*ell+2)-cycle."""
     cycles = _le_source(f, e, ell)
     _check_member(k, d, host=f, lacks=("e", e))
-    return _neighbors(k, cycles(k, reverse=True))
+    return _neighbors(k, cycles, reverse=True)
 
 
 def _lef_source(f: SimpleGraph, e, f_edge, ell: int):
-    """lef (cycles, can_switch): two (F\\K, K)-alternating paths of length
-    2*ell+2 from e to f_edge; reverse swaps e and f_edge."""
+    """lef cycles: two (F\\K, K)-alternating paths of length 2*ell+2 from e
+    to f_edge; reverse swaps e and f_edge."""
     e, f_edge = checked_pair(f, e), checked_pair(f, f_edge)
     for name, edge in (("e", e), ("f", f_edge)):
         if not f.has_edge(*edge):
@@ -288,9 +293,7 @@ def _lef_source(f: SimpleGraph, e, f_edge, ell: int):
         raise ValueError("e and f must share no vertices")
     if ell < 1:
         raise ValueError("ell must be positive")
-    return _two_path_source(
-        lambda lo, hi: ([a & ~b for a, b in zip(f.adj, lo)], hi),
-        e, f_edge, 2 * ell + 2)
+    return _two_path_source(lambda sets: _fk_and_k(f, sets), e, f_edge, 2 * ell + 2)
 
 
 def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
@@ -304,9 +307,9 @@ def switch_neighbors_lef(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge,
     Both endpoint pairings are admitted since the labeling of e and f is
     arbitrary; the relation is symmetric under swapping (K, e) with (K', f).
     """
-    cycles, _ = _lef_source(f, e, f_edge, ell)
+    cycles = _lef_source(f, e, f_edge, ell)
     _check_member(k, d, host=f, has=("e", e), lacks=("f", f_edge))
-    return _neighbors(k, cycles(k))
+    return _neighbors(k, cycles)
 
 
 # -- six-cycle switchings ---------------------------------------------------------
@@ -525,24 +528,26 @@ def six_cycle_switches(k: SimpleGraph, wprime, mode: str,
                        reverse: bool = False) -> list:
     """Apply every qualifying six-cycle switching; returns the switched graphs."""
     _check_six_mode(mode)
-    cycles = _six_cycles(k.n, _wprime_mask(k, wprime), mode, _graph_sets(k), reverse)
-    return _neighbors(k, [flips for flips, _ in cycles])
+    wmask = _wprime_mask(k, wprime)
+    return _neighbors(
+        k, lambda n, sets, reverse: _six_cycles(n, wmask, mode, sets, reverse), reverse)
 
 
 # -- ten-cycle switchings ----------------------------------------------------------
 
 def _ten_source(f: SimpleGraph, e, f_edge):
-    """ten (cycles, can_switch), f the partial graph: two length-4 paths
-    alternating (complement of K, K\\F) from e to f_edge; reverse swaps e
-    and f_edge."""
+    """ten cycles, f the partial graph: two length-4 paths alternating
+    (complement of K, K\\F) from e to f_edge; reverse swaps e and f_edge."""
     e, f_edge = checked_pair(f, e), checked_pair(f, f_edge)
     if f.has_edge(*e) or f.has_edge(*f_edge):
         raise ValueError("e and f must be absent from the partial graph")
     if len({*e, *f_edge}) != 4:
         raise ValueError("e and f must share no vertices")
-    return _two_path_source(
-        lambda lo, hi: (_complement_rows(lo), [a & ~b for a, b in zip(hi, f.adj)]),
-        e, f_edge, 4)
+
+    def halves(sets):
+        _, has, lacks, has_rows, lacks_rows = sets
+        return (lacks_rows, lacks), ([a & ~b for a, b in zip(has_rows, f.adj)], has)
+    return _two_path_source(halves, e, f_edge, 4)
 
 
 def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> list:
@@ -553,9 +558,9 @@ def ten_cycle_switches(f: SimpleGraph, d: int, k: SimpleGraph, e, f_edge) -> lis
     (complement of K, K\\F), one from each endpoint of e to an endpoint of f;
     both endpoint pairings are admitted.
     """
-    cycles, _ = _ten_source(f, e, f_edge)
+    cycles = _ten_source(f, e, f_edge)
     _check_member(k, d, partial=f, has=("e", e), lacks=("f", f_edge))
-    return _neighbors(k, cycles(k))
+    return _neighbors(k, cycles)
 
 
 # -- auxiliary bipartite graphs -----------------------------------------------------
@@ -610,64 +615,46 @@ def _member_indices(members: int) -> list:
     return out
 
 
-def _each_member(cycles):
-    """The family walk that walks each member on its own: cycles(K, reverse)
-    yields the flips of the switchings out of K, and member i's leaves are
-    (flips, (i,))."""
-    def walk(n, masks, graphs, reverse=False):
-        for i, k in enumerate(graphs):
-            for flips in cycles(k, reverse):
-                yield flips, (i,)
-    return walk
+def _bipartite_from_switches(kind, left_graphs, cycles, meta):
+    """Assemble a SwitchingGraph from a kind's cycles(n, sets, reverse).
 
-
-def _bipartite_from_switches(kind, left_graphs, walk, meta, can_switch=None):
-    """Assemble a SwitchingGraph from a kind's family walk.
-
-    walk(n, masks, graphs) walks the switchings out of a family of distinct
-    members, numbered in ascending edge-mask order (masks, with their
-    graphs, an iterable the walk may leave unread), and walk(n, masks,
-    graphs, True) those out of a right family.  It yields one leaf per
-    cycle: (flips, member indices), the members the cycle switches.  The
-    six kind walks each family once; le, lef and ten walk one member at a
-    time (_each_member).  Members share one vertex count n, so each is
-    keyed by its edge mask alone, and an output's mask is its source's mask
-    XOR the flips.  When can_switch(members) is given and False, no member
-    is walked and every left member gets degree 0.
+    The left members, distinct and numbered in ascending edge-mask order,
+    are walked once as a family (_family_sets), and then so are the right
+    members with reverse=True.  Each leaf is (flips, member set): one cycle
+    and the members it switches.  Members share one vertex count n, so each
+    is keyed by its edge mask alone, and an output's mask is its source's
+    mask XOR the flips.
 
     A left member's degree is the number of cycles walked out of it.  The
-    forward edges go into one set, sorted once; the right members are
-    their distinct outputs, whose graphs are built from their masks only
-    for per-member reverse walks.  Reverse outputs are intersected with the
-    left class, so the double count is over exactly the recorded edges.
-    The two routes agree when the distinct reverse edges are the forward
-    ones: every reverse edge is a forward one, and there are as many.  An edge is the int
-    left mask << width | right mask, which sorts as the (left key, right
+    forward edges go into one set, sorted once; the right members are their
+    distinct outputs.  Reverse outputs are intersected with the left class,
+    so the double count is over exactly the recorded edges.  The two routes
+    agree when the distinct reverse edges are the forward ones: every
+    reverse edge is a forward one, and there are as many.  An edge is the
+    int left mask << width | right mask, which sorts as the (left key, right
     key) pair; the keys (n, mask) are made once per member at the end.
     """
-    left = {g.edge_mask(): g for g in left_graphs}
+    # each member's vertex count, keyed by its edge mask in the caller's order
+    left = {g.edge_mask(): g.n for g in left_graphs}
     if not left:
         return SwitchingGraph(kind, [], [], [], {}, {}, True, meta)
-    n = next(iter(left.values())).n
+    n = next(iter(left.values()))
     width = n * (n - 1) // 2
     low = (1 << width) - 1
     left_masks = sorted(left)
     left_degrees = dict.fromkeys(left, 0)
     forward_edges = set()
-    if can_switch is None or can_switch(left.values()):
-        graphs = (left[mask] for mask in left_masks)
-        for flips, members in walk(n, left_masks, graphs):
-            for i in members:
-                mask = left_masks[i]
-                left_degrees[mask] += 1
-                forward_edges.add(mask << width | mask ^ flips)
+    for flips, members in cycles(n, _family_sets(n, left_masks)):
+        for i in _member_indices(members):
+            mask = left_masks[i]
+            left_degrees[mask] += 1
+            forward_edges.add(mask << width | mask ^ flips)
     right_masks = sorted({edge & low for edge in forward_edges})
     right_degrees = [0] * len(right_masks)
     reverse = set()
     if right_masks:
-        graphs = (graph_from_mask(n, hm) for hm in right_masks)
-        for flips, members in walk(n, right_masks, graphs, True):
-            for j in members:
+        for flips, members in cycles(n, _family_sets(n, right_masks), True):
+            for j in _member_indices(members):
                 hm = right_masks[j]
                 bm = hm ^ flips
                 if bm in left:
@@ -693,17 +680,17 @@ def build_le_graph(f: SimpleGraph, d: int, e, ell: int) -> SwitchingGraph:
     cycles = _le_source(f, e, ell)
     e = canonical_pair(*e)
     return _bipartite_from_switches(
-        "le", _enumerate(SimpleGraph(f.n, [e]), f, d), _each_member(cycles),
+        "le", _enumerate(SimpleGraph(f.n, [e]), f, d), cycles,
         meta={"e": e, "ell": ell})
 
 
 def build_lef_graph(f: SimpleGraph, d: int, e, f_edge, ell: int) -> SwitchingGraph:
     """Full auxiliary graph between the e-but-not-f and f-but-not-e classes."""
-    cycles, can_switch = _lef_source(f, e, f_edge, ell)
+    cycles = _lef_source(f, e, f_edge, ell)
     e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
         "lef", _enumerate(SimpleGraph(f.n, [e]), f.without_edge(*f_edge), d),
-        _each_member(cycles), meta={"e": e, "f": f_edge, "ell": ell}, can_switch=can_switch)
+        cycles, meta={"e": e, "f": f_edge, "ell": ell})
 
 
 def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingGraph:
@@ -720,21 +707,19 @@ def build_six_cycle_graph(d: int, wprime, mode: str, left_members) -> SwitchingG
     if len(values) > 1:
         raise ValueError(f"left class mixes statistic values {sorted(values)}")
 
-    def walk(n, masks, graphs, reverse=False):
-        sets = _family_sets(n, masks)
-        for flips, members in _six_cycles(n, wmask, mode, sets, reverse):
-            yield flips, _member_indices(members)
+    def cycles(n, sets, reverse=False):
+        return _six_cycles(n, wmask, mode, sets, reverse)
     return _bipartite_from_switches(
-        f"six-{mode}", left_members, walk,
+        f"six-{mode}", left_members, cycles,
         meta={"wprime": sorted(set(wprime)), "mode": mode,
               "stat": values.pop() if values else None})
 
 
 def build_ten_cycle_graph(f: SimpleGraph, d: int, e, f_edge) -> SwitchingGraph:
     """Full auxiliary graph between the extension classes of F+e and F+f."""
-    cycles, can_switch = _ten_source(f, e, f_edge)
+    cycles = _ten_source(f, e, f_edge)
     e, f_edge = canonical_pair(*e), canonical_pair(*f_edge)
     return _bipartite_from_switches(
         "ten",
         _enumerate(f.with_edge(*e), complete_graph(f.n).without_edge(*f_edge), d),
-        _each_member(cycles), meta={"e": e, "f": f_edge}, can_switch=can_switch)
+        cycles, meta={"e": e, "f": f_edge})

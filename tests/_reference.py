@@ -8,8 +8,8 @@ distinct interior vertices instead of a walk over bit rows, expansion
 reports from every (U', U) pair one by one, its statistic from the edge sets
 of `graphs`, instead of blocks folded to their greatest popcount, six-cycle
 switchings from every ordered vertex 6-tuple instead of a pruned walk,
-two-path switchings from every vertex sequence with the cycle's shape
-instead of a depth-first walk over bit rows, auxiliary switching graphs by
+single-edge and two-path switchings from every vertex sequence with the
+cycle's shape instead of a depth-first walk over bit rows, auxiliary switching graphs by
 building and keying every switched graph instead of toggling keys, and the
 labeled members of an isomorphism class from every vertex permutation
 instead of double counting.
@@ -318,6 +318,21 @@ def two_path_switch_graphs(k, odd, even, e, f_edge, length):
                          for a, b in zip(path, path[1:])]
                 out.append(_switched_rows(k, pairs + [canonical_pair(*e),
                                                       canonical_pair(*f_edge)]))
+    return out
+
+
+def le_switch_graphs(k, host, e, ell, reverse=False):
+    """Edge rows of every graph a single-edge (le) switching of K gives, one
+    per cycle: each path of length 2*ell+1 between e's endpoints alternating
+    (F\\K, K), or (K, F\\K) when reverse (brute_force_alternating_paths),
+    closed with e and every pair flipped."""
+    edges = {canonical_pair(u, v) for u, v in k.edges()}
+    fk = {canonical_pair(u, v) for u, v in host.edges()} - edges
+    odd, even = (edges, fk) if reverse else (fk, edges)
+    out = []
+    for path in brute_force_alternating_paths(k.n, odd, even, *e, 2 * ell + 1):
+        pairs = [canonical_pair(a, b) for a, b in zip(path, path[1:])]
+        out.append(_switched_rows(k, pairs + [canonical_pair(*e)]))
     return out
 
 

@@ -149,6 +149,25 @@ def test_switchings_subcommand(capsys):
         assert six_cycle_statistic(parse_graph_literal(host), {1, 2, 3}, mode) == value
 
 
+def test_switchings_refuses_an_option_its_kind_does_not_read(capsys):
+    # each run would be accepted without its last option
+    host = "n=6;edges=1-2,1-3,1-4,2-3,2-5,3-6,4-5,4-6,5-6"
+    cases = (("le", ["--e", "1-2", "--f-edge", "3-6"], "f_edge"),
+             ("le", ["--e", "1-2", "--wprime", "1,2"], "wprime"),
+             ("lef", ["--e", "1-2", "--f-edge", "3-6", "--wprime", "1"], "wprime"),
+             ("ten", ["--e", "1-5", "--f-edge", "2-4", "--wprime", "1,2"], "wprime"),
+             ("six-two", ["--wprime", "1,2", "--e", "1-2"], "e"),
+             ("six-two", ["--wprime", "1,2", "--f-edge", "3-6"], "f_edge"),
+             ("six-one", ["--wprime", "1,2", "--e", "1-2"], "e"),
+             ("six-one", ["--wprime", "1,2", "--f-edge", "3-6"], "f_edge"))
+    for kind, extra, name in cases:
+        argv = ["switchings", "--host", host, "--d", "3", "--kind", kind, *extra]
+        assert main(argv) == 2
+        assert f"error: {name} is not read by kind '{kind}'" in capsys.readouterr().err
+        assert main(argv[:-2]) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
+
 def test_audit_subcommand(capsys):
     code, out = _run(["audit", "--property", "degree-band", "--n", "8",
                       "--d", "3", "--m", "6", "--seed", "2"], capsys)

@@ -39,6 +39,7 @@ from sandwichlab.switching import (
 
 from _reference import (
     brute_force_alternating_paths,
+    le_switch_graphs,
     mitm_alternating_count,
     six_cycle_switch_graphs,
     switching_graph_reference,
@@ -516,19 +517,45 @@ def _assert_same_switching_graph(got, want):
     assert list(got.right_degrees.items()) == list(want.right_degrees.items())
 
 
+def _switched(rows_of):
+    """A switch function from a brute-force reference listing edge rows."""
+    return lambda k: [SimpleGraph._from_rows(k.n, rows) for rows in rows_of(k)]
+
+
+def _le_reference(host, members, e, ell):
+    return switching_graph_reference(
+        "le", members, _switched(lambda k: le_switch_graphs(k, host, e, ell)),
+        _switched(lambda k: le_switch_graphs(k, host, e, ell, reverse=True)),
+        {"e": e, "ell": ell})
+
+
+def _lef_reference(host, members, e, f_edge, ell):
+    def switched(a, b):
+        return _switched(lambda k: two_path_switch_graphs(
+            k, set(difference(host, k).edges()), set(k.edges()), a, b, 2 * ell + 2))
+    return switching_graph_reference("lef", members, switched(e, f_edge),
+                                     switched(f_edge, e), {"e": e, "f": f_edge, "ell": ell})
+
+
+def _ten_reference(f, members, e, f_edge):
+    def switched(a, b):
+        return _switched(lambda k: two_path_switch_graphs(
+            k, set(complement(k).edges()), set(difference(k, f).edges()), a, b, 4))
+    return switching_graph_reference("ten", members, switched(e, f_edge),
+                                     switched(f_edge, e), {"e": e, "f": f_edge})
+
+
 def test_builders_match_graph_keyed_reference():
     """Each builder keys outputs by toggling keys; the reference builds and
-    keys every switched graph through the public switch functions."""
+    keys every switched graph.  The le, lef and ten references find them by
+    _reference's brute-force sequence enumerations, not the package's walks
+    (six's are found that way in test_six_builder_matches_the_tuple_enumeration)."""
     host = _rich_host(random.Random(27), 8, 3, 4)
     members = list(enumerate_regular(host, 3))
     for ell in (1, 2):
         nonzero = 0
         for e in host.edges():
-            want = switching_graph_reference(
-                "le", [k for k in members if k.has_edge(*e)],
-                lambda k: switch_neighbors_le(host, 3, k, e, ell),
-                lambda k: switch_neighbors_le_absent(host, 3, k, e, ell),
-                {"e": e, "ell": ell})
+            want = _le_reference(host, [k for k in members if k.has_edge(*e)], e, ell)
             _assert_same_switching_graph(build_le_graph(host, 3, e, ell), want)
             nonzero += bool(want.edges)
         assert nonzero
@@ -537,12 +564,9 @@ def test_builders_match_graph_keyed_reference():
         "n=10;edges=1-2,1-4,1-6,1-8,1-9,1-10,2-3,2-5,2-7,2-9,2-10,3-5,"
         "3-8,3-9,4-7,4-8,4-9,5-6,5-7,6-7,6-8,6-10,9-10")
     e, f_edge = (1, 8), (2, 3)
-    want = switching_graph_reference(
-        "lef", [k for k in enumerate_regular(host10, 3)
-                if k.has_edge(*e) and not k.has_edge(*f_edge)],
-        lambda k: switch_neighbors_lef(host10, 3, k, e, f_edge, 1),
-        lambda k: switch_neighbors_lef(host10, 3, k, f_edge, e, 1),
-        {"e": e, "f": f_edge, "ell": 1})
+    want = _lef_reference(host10, [k for k in enumerate_regular(host10, 3)
+                                   if k.has_edge(*e) and not k.has_edge(*f_edge)],
+                          e, f_edge, 1)
     assert want.edges
     _assert_same_switching_graph(build_lef_graph(host10, 3, e, f_edge, 1), want)
 
@@ -550,12 +574,8 @@ def test_builders_match_graph_keyed_reference():
     for seed in range(60):
         f, _, e, f_edge = _ten_cycle_instance(seed)
         e, f_edge = tuple(sorted(e)), tuple(sorted(f_edge))
-        want = switching_graph_reference(
-            "ten", [k for k in enumerate_extensions(f.with_edge(*e), 3)
-                    if not k.has_edge(*f_edge)],
-            lambda k: ten_cycle_switches(f, 3, k, e, f_edge),
-            lambda k: ten_cycle_switches(f, 3, k, f_edge, e),
-            {"e": e, "f": f_edge})
+        want = _ten_reference(f, [k for k in enumerate_extensions(f.with_edge(*e), 3)
+                                  if not k.has_edge(*f_edge)], e, f_edge)
         _assert_same_switching_graph(build_ten_cycle_graph(f, 3, e, f_edge), want)
         checked += bool(want.edges)
         if checked >= 2:
@@ -615,10 +635,13 @@ def test_builders_build_only_their_family(monkeypatch):
             break
 
 
-def _assert_no_member_switches(got, want, members, can_switch):
-    # the family bound says no member can switch, so none is walked; the
-    # graph is still the reference's, every left member at degree 0 in order
-    assert members and not can_switch(members)
+def _assert_no_member_switches(got, want, members, cycles):
+    # the kind's walk over the whole family yields no cycle; the graph is
+    # still the reference's, every left member at degree 0 in order
+    assert members
+    n = members[0].n
+    sets = switching._family_sets(n, sorted(k.edge_mask() for k in members))
+    assert next(cycles(n, sets), None) is None
     _assert_same_switching_graph(got, want)
     assert list(got.left_degrees.items()) == [(canonical_key(k), 0) for k in members]
     assert got.right == [] and got.edges == [] and verify_double_count(got)["passed"]
@@ -636,13 +659,9 @@ def test_ten_family_with_a_spent_f_endpoint_cannot_switch():
     e, f_edge = tuple(sorted(e)), tuple(sorted(f_edge))
     members = [k for k in enumerate_extensions(f.with_edge(*e), 3)
                if not k.has_edge(*f_edge)]
-    want = switching_graph_reference(
-        "ten", members,
-        lambda k: ten_cycle_switches(f, 3, k, e, f_edge),
-        lambda k: ten_cycle_switches(f, 3, k, f_edge, e),
-        {"e": e, "f": f_edge})
-    _assert_no_member_switches(build_ten_cycle_graph(f, 3, e, f_edge), want,
-                               members, _ten_source(f, e, f_edge)[1])
+    _assert_no_member_switches(build_ten_cycle_graph(f, 3, e, f_edge),
+                               _ten_reference(f, members, e, f_edge),
+                               members, _ten_source(f, e, f_edge))
 
 
 def test_lef_family_with_a_spent_e_endpoint_cannot_switch():
@@ -661,13 +680,9 @@ def test_lef_family_with_a_spent_e_endpoint_cannot_switch():
             break
     else:
         pytest.fail("no lef instance with a spent e endpoint")
-    want = switching_graph_reference(
-        "lef", members,
-        lambda k: switch_neighbors_lef(host, 3, k, e, f_edge, 1),
-        lambda k: switch_neighbors_lef(host, 3, k, f_edge, e, 1),
-        {"e": e, "f": f_edge, "ell": 1})
-    _assert_no_member_switches(build_lef_graph(host, 3, e, f_edge, 1), want,
-                               members, _lef_source(host, e, f_edge, 1)[1])
+    _assert_no_member_switches(build_lef_graph(host, 3, e, f_edge, 1),
+                               _lef_reference(host, members, e, f_edge, 1),
+                               members, _lef_source(host, e, f_edge, 1))
 
 
 def test_six_cycle_double_counts_that_switch():
@@ -693,8 +708,7 @@ def test_six_builder_matches_the_tuple_enumeration():
     brute-force six-cycle switchings, not the package's six walk."""
     def reference(family, w, mode, value):
         def switched(reverse):
-            return lambda k: [SimpleGraph._from_rows(k.n, rows) for rows in
-                              six_cycle_switch_graphs(k, w, mode, reverse)]
+            return _switched(lambda k: six_cycle_switch_graphs(k, w, mode, reverse))
         return switching_graph_reference(
             f"six-{mode}", family, switched(False), switched(True),
             {"wprime": sorted(w), "mode": mode, "stat": value})
@@ -729,34 +743,28 @@ def test_assembler_counts_walked_cycles():
     w = {1, 2}
     family = [k for k in enumerate_regular(complete_graph(6), 3)
               if six_cycle_statistic(k, w, "two-in") == 1]
-    good = switching._bipartite_from_switches(
-        "six", family, _six_walk(w, "two-in"), {})
+    wmask = sum(1 << v for v in w)
+
+    def cycles(n, sets, reverse=False):
+        return switching._six_cycles(n, wmask, "two-in", sets, reverse)
+
+    good = switching._bipartite_from_switches("six", family, cycles, {})
     assert verify_double_count(good)["passed"] and good.edges
 
-    def doubled(n, masks, graphs, reverse=False):
-        leaves = list(_six_walk(w, "two-in")(n, masks, graphs, reverse))
+    def doubled(n, sets, reverse=False):
+        leaves = list(cycles(n, sets, reverse))
         return leaves + ([] if reverse else leaves[:1])
 
-    def dropped(n, masks, graphs, reverse=False):
-        leaves = list(_six_walk(w, "two-in")(n, masks, graphs, reverse))
+    def dropped(n, sets, reverse=False):
+        leaves = list(cycles(n, sets, reverse))
         if reverse:
             flips, members = leaves[0]
-            leaves[0] = (flips, list(members)[1:])
+            leaves[0] = (flips, members & (members - 1))
         return leaves
 
     for walk in (doubled, dropped):
         graph = switching._bipartite_from_switches("six", family, walk, {})
         assert not verify_double_count(graph)["passed"]
-
-
-def _six_walk(w, mode):
-    wmask = sum(1 << v for v in w)
-
-    def walk(n, masks, graphs, reverse=False):
-        sets = switching._family_sets(n, masks)
-        for flips, members in switching._six_cycles(n, wmask, mode, sets, reverse):
-            yield flips, switching._member_indices(members)
-    return walk
 
 
 def test_graph_sets_equal_a_family_of_one():
